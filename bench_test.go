@@ -130,32 +130,11 @@ func coloringProgram(n int) *asp.Program {
 
 // --- ablation benchmarks (design choices from DESIGN.md) ---
 
-// BenchmarkAblationSolverBranching compares NAF-atom branching against
-// naive full-atom branching on the same program. Branching over NAF
-// atoms is a DFS-engine concept, so both arms pin EngineDFS — the
-// engines themselves are A/B'd by BenchmarkSolveEngines.
-func BenchmarkAblationSolverBranching(b *testing.B) {
-	prog := coloringProgram(4)
-	for _, naive := range []bool{false, true} {
-		name := "naf-only"
-		if naive {
-			name = "all-atoms"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := asp.SolveOptions{Engine: asp.EngineDFS, NaiveBranching: naive}
-				if _, err := asp.Solve(prog, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSolveEngines A/Bs the CDNL engine against the legacy DFS
-// oracle on a tight constraint program (graph coloring) and a non-tight
-// one (coloring plus a positive reachability loop that exercises the
-// unfounded-set check).
+// BenchmarkSolveEngines measures the CDNL engine on a tight constraint
+// program (graph coloring) and a non-tight one (coloring plus a positive
+// reachability loop that exercises the unfounded-set check). The
+// sub-benchmarks keep their /cdnl suffix so snapshots that recorded the
+// engine A/B still compare.
 func BenchmarkSolveEngines(b *testing.B) {
 	nonTight := coloringProgram(6)
 	extra, err := asp.Parse(`
@@ -176,35 +155,29 @@ func BenchmarkSolveEngines(b *testing.B) {
 		{"nontight", nonTight},
 	}
 	for _, tc := range cases {
-		for _, eng := range []asp.EngineKind{asp.EngineCDNL, asp.EngineDFS} {
-			name := tc.name + "/cdnl"
-			if eng == asp.EngineDFS {
-				name = tc.name + "/dfs"
+		b.Run(tc.name+"/cdnl", func(b *testing.B) {
+			b.ReportAllocs()
+			g, err := asp.Ground(tc.prog, asp.GroundingOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				g, err := asp.Ground(tc.prog, asp.GroundingOptions{})
-				if err != nil {
+			sc := &asp.SolverScratch{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := asp.SolveGroundScratch(g, asp.SolveOptions{}, sc); err != nil {
 					b.Fatal(err)
 				}
-				sc := &asp.SolverScratch{}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := asp.SolveGroundScratch(g, asp.SolveOptions{Engine: eng}, sc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// groundBenchCorpus is the join-heavy program set for the grounding
-// benchmarks: recursive closure over a dense graph, filtered cross
+// groundBenchCorpus is the join-heavy program set of
+// BenchmarkGroundPrograms and TestGroundingLatencyGuard: recursive closure over a dense graph, filtered cross
 // products, and arithmetic chains — the shapes where join planning
 // (delta pinning, index probes, early filters) matters.
-func groundBenchCorpus(b *testing.B) []*asp.Program {
-	b.Helper()
+func groundBenchCorpus(tb testing.TB) []*asp.Program {
+	tb.Helper()
 	srcs := []string{
 		// Filtered triple cross product.
 		`a(1..12). b(1..12). c(1..12).
@@ -225,7 +198,7 @@ func groundBenchCorpus(b *testing.B) []*asp.Program {
 	for i, src := range srcs {
 		p, err := asp.Parse(src)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		progs[i] = p
 	}
@@ -233,26 +206,20 @@ func groundBenchCorpus(b *testing.B) []*asp.Program {
 }
 
 // BenchmarkGroundPrograms measures batch grounding over the join-heavy
-// corpus: compiled grounding plans (default) against the greedy
-// backtracking oracle (NaivePlan ablation).
+// corpus with compiled grounding plans. The sub-benchmark keeps its
+// /planned suffix so earlier snapshots still compare.
 func BenchmarkGroundPrograms(b *testing.B) {
 	progs := groundBenchCorpus(b)
-	for _, naivePlan := range []bool{false, true} {
-		name := "planned"
-		if naivePlan {
-			name = "naive-plan"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range progs {
-					if _, err := asp.Ground(p, asp.GroundingOptions{NaivePlan: naivePlan}); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("planned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				if _, err := asp.Ground(p, asp.GroundingOptions{}); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationGrounding compares semi-naive against naive
@@ -374,35 +341,6 @@ func BenchmarkCoverageCheck(b *testing.B) {
 		if _, err := task.Covers(res.Hypothesis, ex); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationInterning compares the interned, argument-indexed
-// grounder against the string-keyed full-scan ablation
-// (GroundingOptions.StringKeyed) on a join-heavy program where candidate
-// lookup dominates.
-func BenchmarkAblationInterning(b *testing.B) {
-	src := ""
-	for i := 0; i < 300; i++ {
-		src += fmt.Sprintf("succ(%d, %d).\n", i, i+1)
-	}
-	src += "hop(X, Z) :- succ(X, Y), succ(Y, Z).\nskip(X, Z) :- hop(X, Y), hop(Y, Z).\n"
-	prog, err := asp.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sk := range []bool{false, true} {
-		name := "interned-indexed"
-		if sk {
-			name = "string-keyed"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asp.Ground(prog, asp.GroundingOptions{StringKeyed: sk}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	asolve [-n max] [-engine cdnl|dfs] [-ground] [-plan] [program.lp]
+//	asolve [-n max] [-ground] [-plan] [program.lp]
 //	echo "a :- not b. b :- not a." | asolve -n 0
 package main
 
@@ -31,20 +31,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	showGround := fs.Bool("ground", false, "print the ground program instead of solving")
 	showPlan := fs.Bool("plan", false, "print the compiled grounding plans (join orders and lowered ops) instead of solving")
 	maxDecisions := fs.Int64("budget", 0, "abort after this many search decisions (0 = unlimited)")
-	engine := fs.String("engine", "cdnl", "solving engine: cdnl (conflict-driven, default) or dfs (legacy oracle)")
 	stats := fs.Bool("stats", false, "dump the telemetry registry to stderr on exit (includes solver conflicts, backjumps, and learned nogoods)")
 	trace := fs.String("trace", "", "write span trace as JSON lines to this file (see agenptrace)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var engineKind asp.EngineKind
-	switch *engine {
-	case "cdnl":
-		engineKind = asp.EngineCDNL
-	case "dfs":
-		engineKind = asp.EngineDFS
-	default:
-		return fmt.Errorf("unknown engine %q (want cdnl or dfs)", *engine)
 	}
 	if *trace != "" {
 		stop, err := obs.StartTrace(*trace)
@@ -98,7 +88,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	models, err := asp.SolveGround(ground, asp.SolveOptions{
 		MaxModels:    *maxModels,
 		MaxDecisions: *maxDecisions,
-		Engine:       engineKind,
 	})
 	if err != nil {
 		return err

@@ -22,32 +22,10 @@ func modelSet(models []*AnswerSet) []string {
 	return out
 }
 
-func solveBothEngines(t *testing.T, src string, opts SolveOptions) (cdnl, dfs []string) {
-	t.Helper()
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	g, err := Ground(prog, GroundingOptions{})
-	if err != nil {
-		t.Fatalf("ground %q: %v", src, err)
-	}
-	opts.Engine = EngineCDNL
-	mc, err := SolveGround(g, opts)
-	if err != nil {
-		t.Fatalf("cdnl solve %q: %v", src, err)
-	}
-	opts.Engine = EngineDFS
-	md, err := SolveGround(g, opts)
-	if err != nil {
-		t.Fatalf("dfs solve %q: %v", src, err)
-	}
-	return modelSet(mc), modelSet(md)
-}
-
-// TestSolveEnginesNonTight pins the CDNL engine to the DFS oracle (and
-// to expected answer sets) on programs with positive loops, where the
-// completion alone is too weak and the unfounded-set check must fire.
+// TestSolveEnginesNonTight pins the solver to the brute-force stable
+// models (and to expected answer sets) on programs with positive loops,
+// where the completion alone is too weak and the unfounded-set check
+// must fire.
 func TestSolveEnginesNonTight(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -68,24 +46,21 @@ func TestSolveEnginesNonTight(t *testing.T) {
 		{"p :- not p.", nil},
 	}
 	for _, tc := range cases {
-		cdnl, dfs := solveBothEngines(t, tc.src, SolveOptions{})
-		if fmt.Sprint(cdnl) != fmt.Sprint(dfs) {
-			t.Errorf("%q: engines disagree: cdnl=%v dfs=%v", tc.src, cdnl, dfs)
-		}
+		got := modelSet(solveChecked(t, tc.src))
 		want := tc.want
 		if want == nil {
 			want = []string{}
 		}
-		if fmt.Sprint(cdnl) != fmt.Sprint(want) {
-			t.Errorf("%q: got %v, want %v", tc.src, cdnl, want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%q: got %v, want %v", tc.src, got, want)
 		}
 	}
 }
 
-// TestSolveEnginesCorpusEquivalence runs both engines over the
-// deterministic random-program corpus and requires identical answer-set
-// sets, plus identical output across repeated CDNL runs (enumeration
-// must be deterministic).
+// TestSolveEnginesCorpusEquivalence runs the solver over the
+// deterministic random-program corpus (non-tight programs included) and
+// requires exactly the brute-force stable models, plus identical output
+// across repeated runs (enumeration must be deterministic).
 func TestSolveEnginesCorpusEquivalence(t *testing.T) {
 	for seed := 0; seed < 600; seed++ {
 		src := randomProgram(seed)
@@ -97,31 +72,19 @@ func TestSolveEnginesCorpusEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: ground: %v", seed, err)
 		}
-		mc1, err := SolveGround(g, SolveOptions{Engine: EngineCDNL})
+		first, err := SolveGround(g, SolveOptions{})
 		if err != nil {
-			t.Fatalf("seed %d: cdnl: %v", seed, err)
+			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
-		mc2, err := SolveGround(g, SolveOptions{Engine: EngineCDNL})
+		again, err := SolveGround(g, SolveOptions{})
 		if err != nil {
-			t.Fatalf("seed %d: cdnl rerun: %v", seed, err)
+			t.Fatalf("seed %d: rerun: %v", seed, err)
 		}
-		for i := range mc1 {
-			if mc1[i].String() != mc2[i].String() {
-				t.Fatalf("seed %d: cdnl enumeration not deterministic", seed)
-			}
+		if fmt.Sprint(first) != fmt.Sprint(again) {
+			t.Fatalf("seed %d: enumeration not deterministic: %v then %v", seed, first, again)
 		}
-		md, err := SolveGround(g, SolveOptions{Engine: EngineDFS})
-		if err != nil {
-			t.Fatalf("seed %d: dfs: %v", seed, err)
-		}
-		sc, sd := modelSet(mc1), modelSet(md)
-		if fmt.Sprint(sc) != fmt.Sprint(sd) {
-			t.Fatalf("seed %d: engines disagree on %q:\ncdnl: %v\ndfs:  %v", seed, src, sc, sd)
-		}
-		for _, m := range mc1 {
-			if !verifyStable(g, m) {
-				t.Fatalf("seed %d: cdnl model %s not stable for %q", seed, m, src)
-			}
+		if err := checkAnswerSets(g, first); err != nil {
+			t.Fatalf("seed %d: %q: %v", seed, src, err)
 		}
 	}
 }
@@ -164,26 +127,8 @@ func TestCDNLContextCancel(t *testing.T) {
 	}
 }
 
-// TestDFSContextCancel covers the oracle engine's per-decision poll.
-func TestDFSContextCancel(t *testing.T) {
-	prog, err := Parse("{a; b; c; d; e; f; g; h; i; j}.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Ground(prog, GroundingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = SolveGround(g, SolveOptions{Engine: EngineDFS, Context: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got err %v, want context.Canceled", err)
-	}
-}
-
 // TestCDNLDecisionBudget: MaxDecisions aborts enumeration with
-// ErrSearchBudget on both engines.
+// ErrSearchBudget.
 func TestCDNLDecisionBudget(t *testing.T) {
 	prog, err := Parse("{a; b; c; d; e; f; g; h; i; j; k; l}.")
 	if err != nil {
@@ -193,11 +138,8 @@ func TestCDNLDecisionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []EngineKind{EngineCDNL, EngineDFS} {
-		_, err := SolveGround(g, SolveOptions{Engine: eng, MaxDecisions: 10})
-		if !errors.Is(err, ErrSearchBudget) {
-			t.Errorf("engine %v: got err %v, want ErrSearchBudget", eng, err)
-		}
+	if _, err := SolveGround(g, SolveOptions{MaxDecisions: 10}); !errors.Is(err, ErrSearchBudget) {
+		t.Errorf("got err %v, want ErrSearchBudget", err)
 	}
 }
 

@@ -1,13 +1,16 @@
 package asp
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
 // bruteForceAnswerSets enumerates every subset of the ground atoms and
 // keeps exactly the stable models — the definition, with no search
-// cleverness. Only usable for tiny programs.
+// cleverness: a subset is stable when it equals the least model of its
+// Gelfond–Lifschitz reduct and violates no constraint. Only usable for
+// tiny programs.
 func bruteForceAnswerSets(g *GroundProgram) []map[int]bool {
 	n := g.NumAtoms()
 	var out []map[int]bool
@@ -91,6 +94,83 @@ func bruteForceAnswerSets(g *GroundProgram) []map[int]bool {
 	return out
 }
 
+// bruteForceMaxAtoms bounds the programs checkAnswerSets accepts: the
+// brute force visits 2^n subsets.
+const bruteForceMaxAtoms = 14
+
+// checkAnswerSets compares a solver's enumeration of g with the stable
+// models found by brute force, projected onto the visible atoms (hidden
+// choice-complement atoms included in the search, as the definition
+// requires). Enumeration order is free, but each answer set must appear
+// exactly once.
+func checkAnswerSets(g *GroundProgram, got []*AnswerSet) error {
+	if g.NumAtoms() > bruteForceMaxAtoms {
+		return fmt.Errorf("%d ground atoms exceed the brute-force limit %d", g.NumAtoms(), bruteForceMaxAtoms)
+	}
+	var want []*AnswerSet
+	for _, m := range bruteForceAnswerSets(g) {
+		var atoms []Atom
+		for id, a := range g.Atoms {
+			if m[id] && !isInternalAtom(a) {
+				atoms = append(atoms, a)
+			}
+		}
+		want = append(want, NewAnswerSet(atoms...))
+	}
+	if gs, ws := fmt.Sprint(modelSet(got)), fmt.Sprint(modelSet(want)); gs != ws {
+		return fmt.Errorf("solver found %s, stable models are %s", gs, ws)
+	}
+	return nil
+}
+
+// solveChecked grounds and solves src and fails the test unless the
+// enumeration matches the brute-force stable models.
+func solveChecked(t *testing.T, src string) []*AnswerSet {
+	t.Helper()
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	g, err := Ground(prog, GroundingOptions{})
+	if err != nil {
+		t.Fatalf("ground %q: %v", src, err)
+	}
+	models, err := SolveGround(g, SolveOptions{})
+	if err != nil {
+		t.Fatalf("solve %q: %v", src, err)
+	}
+	if err := checkAnswerSets(g, models); err != nil {
+		t.Fatalf("%q: %v", src, err)
+	}
+	return models
+}
+
+// TestAnswerSetCheckerRejectsWrongModels: the brute-force checker
+// accepts the solver's enumeration and rejects it with one answer set
+// missing or one non-stable set added.
+func TestAnswerSetCheckerRejectsWrongModels(t *testing.T) {
+	g := mustGround(t, "a :- not b. b :- not a. c. {d}.")
+	models, err := SolveGround(g, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkAnswerSets(g, models); err != nil {
+		t.Fatalf("checker rejects the solver's enumeration: %v", err)
+	}
+	for i := range models {
+		missing := append(append([]*AnswerSet{}, models[:i]...), models[i+1:]...)
+		if checkAnswerSets(g, missing) == nil {
+			t.Errorf("checker accepts the enumeration without %s", models[i])
+		}
+	}
+	a, _ := ParseAtom("a")
+	b, _ := ParseAtom("b")
+	c, _ := ParseAtom("c")
+	if checkAnswerSets(g, append(models, NewAnswerSet(a, b, c))) == nil {
+		t.Error("checker accepts the non-stable set {a, b, c}")
+	}
+}
+
 // TestSolverSoundAndComplete compares the solver against brute-force
 // enumeration on randomized small propositional programs (soundness AND
 // completeness, unlike the stability check which is soundness only).
@@ -105,49 +185,19 @@ func TestSolverSoundAndComplete(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.NumAtoms() > 12 {
-			return true // brute force too large; skip
-		}
-		want := bruteForceAnswerSets(g)
 		got, err := SolveGround(g, SolveOptions{})
 		if err != nil {
 			return false
 		}
-		if len(got) != len(want) {
-			t.Logf("program:\n%s\nsolver found %d models, brute force %d", src, len(got), len(want))
+		if err := checkAnswerSets(g, got); err != nil {
+			t.Logf("program:\n%s\n%v", src, err)
 			return false
-		}
-		// Match each brute-force model to a solver model.
-		for _, w := range want {
-			matched := false
-			for _, m := range got {
-				if modelMatches(g, m, w) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Logf("program:\n%s\nbrute-force model %v missing from solver output", src, w)
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
-}
-
-func modelMatches(g *GroundProgram, m *AnswerSet, want map[int]bool) bool {
-	for id, a := range g.Atoms {
-		if isInternalAtom(a) {
-			continue
-		}
-		if m.Contains(a) != want[id] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSolverSoundAndCompleteWithConstraints repeats the comparison on
@@ -168,43 +218,17 @@ func TestSolverSoundAndCompleteWithConstraints(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.NumAtoms() > 12 {
-			return true
-		}
-		want := bruteForceAnswerSets(g)
 		got, err := SolveGround(g, SolveOptions{})
 		if err != nil {
 			return false
 		}
-		return len(got) == len(want)
+		if err := checkAnswerSets(g, got); err != nil {
+			t.Logf("program:\n%s\n%v", src, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSolverSeededPruningSound: seeded pruning must not lose models
-// compared with naive branching (which uses the same prune but explores
-// every atom) on choice-rule programs.
-func TestSolverSeededPruningSound(t *testing.T) {
-	srcs := []string{
-		"node(a). node(b). {in(X)} :- node(X).",
-		"node(a). node(b). node(c). {in(X)} :- node(X). :- in(a), in(b).",
-		"{p; q; r}. :- p, q. :- q, r. s :- p, not q.",
-		"col(x). col(y). n(1). n(2). {c(N, C)} :- n(N), col(C). :- c(N, C1), c(N, C2), C1 != C2.",
-	}
-	for _, src := range srcs {
-		prog := mustParse(t, src)
-		fast, err := Solve(prog, SolveOptions{})
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		naive, err := Solve(prog, SolveOptions{NaiveBranching: true})
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if len(fast) != len(naive) {
-			t.Errorf("%q: fast %d models, naive %d", src, len(fast), len(naive))
-		}
 	}
 }

@@ -62,18 +62,22 @@ func (ix *ModelIndex) EvalPrepared(r Rule) ([]Atom, error) {
 
 // Evaluator owns the scratch state of one-step rule evaluation so that
 // a loop of EvalPrepared calls allocates only for the derived head atoms
-// it returns: a trail-based binding replaces the per-candidate map clone
-// of matchAtom, done-flags over body literals replace the per-step
-// remaining-slice rebuild, negative literals probe the model through a
-// reusable key buffer, and derived heads are deduplicated by structural
-// comparison instead of string keys.
+// it returns: a trail-based binding replaces a per-candidate map clone,
+// done-flags over body literals replace the per-step remaining-slice
+// rebuild, negative literals probe the model through a reusable key
+// buffer, and derived heads are deduplicated by structural comparison
+// instead of string keys.
 //
 // An Evaluator is not safe for concurrent use; give each worker its own.
 type Evaluator struct {
 	tr   bindTrail
 	done []bool
-	out  []Atom
-	key  []byte
+	// deferred[i] is the depth (literals remaining) at which positive
+	// literal i was found blocked on an unbound arithmetic argument, or 0;
+	// the picker skips it at that depth only.
+	deferred []int
+	out      []Atom
+	key      []byte
 }
 
 // NewEvaluator returns an Evaluator ready for EvalPrepared loops.
@@ -87,15 +91,11 @@ func NewEvaluator() *Evaluator {
 // them.
 func (ev *Evaluator) EvalPrepared(ix *ModelIndex, r Rule) ([]Atom, error) {
 	n := len(r.Body)
-	if cap(ev.done) < n {
-		ev.done = make([]bool, n)
-	}
-	ev.done = ev.done[:n]
-	for i := range ev.done {
-		ev.done[i] = false
-	}
+	ev.done = grow(ev.done, n)
+	ev.deferred = grow(ev.deferred, n)
 	ev.out = ev.out[:0]
 	ev.tr.undo(0)
+	ev.tr.blocked = false
 	if err := ev.step(ix, r, n); err != nil {
 		return nil, err
 	}
@@ -106,9 +106,9 @@ func (ev *Evaluator) step(ix *ModelIndex, r Rule, remaining int) error {
 	if remaining == 0 {
 		return ev.emit(r)
 	}
-	// Pick the next processable literal (same discipline as the
-	// grounder: positive atoms enumerate, ready comparisons filter,
-	// binder equalities bind, ground negatives check).
+	// Pick the next processable literal: positive atoms enumerate, ready
+	// comparisons filter, binder equalities bind, ground negatives check.
+	// A positive atom deferred at this depth waits for a deeper one.
 	b := ev.tr.b
 	pick := -1
 	kind := -1
@@ -119,7 +119,7 @@ func (ev *Evaluator) step(ix *ModelIndex, r Rule, remaining int) error {
 		l := &r.Body[i]
 		switch {
 		case !l.IsCmp && !l.Negated:
-			if pick == -1 {
+			if pick == -1 && ev.deferred[i] != remaining {
 				pick, kind = i, 0
 			}
 		case l.IsCmp:
@@ -166,6 +166,17 @@ func (ev *Evaluator) step(ix *ModelIndex, r Rule, remaining int) error {
 				}
 			}
 			ev.tr.undo(m)
+			if ev.tr.blocked {
+				// An arithmetic argument needs a variable that another
+				// literal binds, so no fact can have matched: pick again
+				// with this literal deferred at this depth.
+				ev.tr.blocked = false
+				ev.done[pick] = false
+				ev.deferred[pick] = remaining
+				err := ev.step(ix, r, remaining)
+				ev.deferred[pick] = 0
+				return err
+			}
 		}
 		return nil
 	case 1:
@@ -262,4 +273,108 @@ func AtomsEqual(a, b Atom) bool {
 		}
 	}
 	return true
+}
+
+// bindTrail is a mutable binding with an undo log: matching binds in
+// place and backtracking truncates, avoiding a map clone per candidate
+// fact.
+type bindTrail struct {
+	b     Binding
+	names []string
+	// blocked is set by a match that met an arithmetic argument with an
+	// unbound variable; the caller resets it.
+	blocked bool
+}
+
+func (t *bindTrail) bind(name string, val Term) {
+	t.b[name] = val
+	t.names = append(t.names, name)
+}
+
+func (t *bindTrail) mark() int { return len(t.names) }
+
+func (t *bindTrail) undo(m int) {
+	for i := len(t.names) - 1; i >= m; i-- {
+		delete(t.b, t.names[i])
+	}
+	t.names = t.names[:m]
+}
+
+// matchAtomTrail unifies a (possibly non-ground) pattern atom against a
+// ground fact, binding variables on the trail. On failure the caller must
+// undo to its mark (partial bindings may remain).
+func matchAtomTrail(pattern, fact Atom, tr *bindTrail) bool {
+	if pattern.Predicate != fact.Predicate || len(pattern.Args) != len(fact.Args) {
+		return false
+	}
+	for i := range pattern.Args {
+		if !matchTermTrail(pattern.Args[i], fact.Args[i], tr) {
+			return false
+		}
+	}
+	return true
+}
+
+func matchTermTrail(pattern, ground Term, tr *bindTrail) bool {
+	switch pt := pattern.(type) {
+	case Variable:
+		if bound, ok := tr.b[pt.Name]; ok {
+			return termEq(bound, ground)
+		}
+		tr.bind(pt.Name, ground)
+		return true
+	case Arith:
+		// Arithmetic in a body pattern is evaluated, never enumerated:
+		// with a variable still unbound the literal is blocked.
+		sub := pt.substitute(tr.b)
+		if !sub.Ground() {
+			tr.blocked = true
+			return false
+		}
+		val, err := EvalArith(sub)
+		if err != nil {
+			return false
+		}
+		return termEq(val, ground)
+	case Compound:
+		gt, ok := ground.(Compound)
+		if !ok || gt.Functor != pt.Functor || len(gt.Args) != len(pt.Args) {
+			return false
+		}
+		for i := range pt.Args {
+			if !matchTermTrail(pt.Args[i], gt.Args[i], tr) {
+				return false
+			}
+		}
+		return true
+	default:
+		return TermsEqual(substTerm(pattern, tr.b), ground)
+	}
+}
+
+// unboundVarCount counts variable occurrences of t not bound in b.
+func unboundVarCount(t Term, b Binding) int {
+	n := 0
+	walkTermVars(t, func(v Variable) {
+		if _, ok := b[v.Name]; !ok {
+			n++
+		}
+	})
+	return n
+}
+
+// binderSides recognizes a binder equality V = expr (or expr = V): an
+// unbound variable on one side, the other side fully bound.
+func binderSides(l Literal, b Binding) (Variable, Term, bool) {
+	if vv, ok := l.Lhs.(Variable); ok {
+		if _, bound := b[vv.Name]; !bound && unboundVarCount(l.Rhs, b) == 0 {
+			return vv, l.Rhs, true
+		}
+	}
+	if vv, ok := l.Rhs.(Variable); ok {
+		if _, bound := b[vv.Name]; !bound && unboundVarCount(l.Lhs, b) == 0 {
+			return vv, l.Lhs, true
+		}
+	}
+	return Variable{}, nil, false
 }

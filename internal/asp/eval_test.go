@@ -58,6 +58,39 @@ func TestEvalRuleArithmeticBinder(t *testing.T) {
 	}
 }
 
+// TestEvalRuleArithmeticArgument: a positive literal with an arithmetic
+// argument waits until its variables are bound, whichever body position
+// it takes, and the result agrees with solving the whole program.
+func TestEvalRuleArithmeticArgument(t *testing.T) {
+	facts := "a(1..3). b(1..2). bump(2,x). bump(3,y). t(4,u). t(6,w)."
+	m := model(t, "a(1)", "a(2)", "a(3)", "b(1)", "b(2)", "bump(2,x)", "bump(3,y)", "t(4,u)", "t(6,w)")
+	for _, tc := range []struct {
+		rule string
+		want []string
+	}{
+		{"p(Y) :- bump(X + 1, Y), a(X).", []string{"p(x)", "p(y)"}},
+		{"p(Y) :- a(X), bump(X + 1, Y).", []string{"p(x)", "p(y)"}},
+		// Deferred twice: t waits for both a(X) and b(Y).
+		{"p(Z) :- t(X + Y, Z), a(X), b(Y).", []string{"p(u)"}},
+	} {
+		got := evalHeads(t, tc.rule, m)
+		models := solveSrc(t, facts+" "+tc.rule, SolveOptions{})
+		if len(models) != 1 {
+			t.Fatalf("%s: solved %d models, want 1", tc.rule, len(models))
+		}
+		solved := models[0].AtomsOf("p")
+		if len(got) != len(tc.want) || len(solved) != len(tc.want) {
+			t.Errorf("%s: EvalRule %v, Solve %v, want %v", tc.rule, got, solved, tc.want)
+			continue
+		}
+		for i, w := range tc.want {
+			if !got[w] || solved[i].String() != w {
+				t.Errorf("%s: EvalRule %v, Solve %v, want %v", tc.rule, got, solved, tc.want)
+			}
+		}
+	}
+}
+
 func TestEvalRuleFact(t *testing.T) {
 	got := evalHeads(t, "p(a).", model(t))
 	if len(got) != 1 || !got["p(a)"] {

@@ -1,7 +1,6 @@
 package asp
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -45,7 +44,8 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzSolveSmall checks grounding+solving never panics on parseable
-// input (errors are fine) and that every returned model verifies stable.
+// input (errors are fine) and that every returned model verifies stable,
+// also when MaxModels truncates the enumeration.
 func FuzzSolveSmall(f *testing.F) {
 	seeds := []string{
 		"a :- not b. b :- not a.",
@@ -69,15 +69,11 @@ func FuzzSolveSmall(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if g.NumAtoms() > 24 {
-			return
-		}
 		// verifyStable reconstructs the reduct from the visible model, so
-		// it cannot check programs with hidden choice-complement atoms.
-		for _, a := range g.Atoms {
-			if isInternalAtom(a) {
-				return
-			}
+		// it cannot check programs with hidden choice-complement atoms;
+		// FuzzSolveDifferential's brute force covers those.
+		if g.NumAtoms() > 24 || hasInternal(g) {
+			return
 		}
 		models, err := SolveGround(g, SolveOptions{MaxModels: 8, MaxDecisions: 100_000})
 		if err != nil {
@@ -91,11 +87,12 @@ func FuzzSolveSmall(f *testing.F) {
 	})
 }
 
-// FuzzSolveDifferential runs every parseable ground program through both
-// solving engines and requires identical answer-set sets: the legacy DFS
-// engine is the oracle for the CDNL engine. Seeds include non-tight
-// (positive-loop) programs, where the two engines take entirely
-// different paths (unfounded-set check vs least-model-of-reduct).
+// FuzzSolveDifferential checks every parseable program of at most
+// bruteForceMaxAtoms ground atoms against the definition: the solver
+// must enumerate exactly the brute-force stable models, hidden
+// choice-complement atoms included. Seeds include non-tight
+// (positive-loop) programs, where the unfounded-set check must reject
+// completion models.
 func FuzzSolveDifferential(f *testing.F) {
 	seeds := []string{
 		"a :- not b. b :- not a.",
@@ -127,28 +124,18 @@ func FuzzSolveDifferential(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if g.NumAtoms() > 24 {
+		if g.NumAtoms() > bruteForceMaxAtoms {
 			return
 		}
-		// No MaxModels: a truncated enumeration could legitimately pick
-		// different subsets per engine. The decision budget guards
-		// runaway inputs; budget aborts are skipped, not compared.
-		opts := SolveOptions{MaxDecisions: 200_000}
-		opts.Engine = EngineCDNL
-		mc, errC := SolveGround(g, opts)
-		opts.Engine = EngineDFS
-		md, errD := SolveGround(g, opts)
-		if errC != nil || errD != nil {
+		// No MaxModels: completeness needs the whole enumeration. The
+		// decision budget guards runaway inputs; budget aborts are
+		// skipped, not compared.
+		models, err := SolveGround(g, SolveOptions{MaxDecisions: 200_000})
+		if err != nil {
 			return
 		}
-		sc, sd := modelSet(mc), modelSet(md)
-		if fmt.Sprint(sc) != fmt.Sprint(sd) {
-			t.Fatalf("engines disagree for %q:\ncdnl: %v\ndfs:  %v", src, sc, sd)
-		}
-		for _, m := range mc {
-			if !verifyStable(g, m) && !hasInternal(g) {
-				t.Fatalf("unstable cdnl model %s for %q", m, src)
-			}
+		if err := checkAnswerSets(g, models); err != nil {
+			t.Fatalf("%q: %v", src, err)
 		}
 	})
 }

@@ -197,20 +197,6 @@ type GroundingOptions struct {
 	// the ablation benchmark; results are identical.
 	Naive bool
 
-	// StringKeyed disables interned-id candidate indexing in the join:
-	// every positive body literal scans its predicate's full fact list
-	// instead of probing the per-argument index. Exposed for the ablation
-	// benchmark; results are identical.
-	StringKeyed bool
-
-	// NaivePlan disables compiled grounding plans: rules are instantiated
-	// by the legacy greedy backtracking join (next literal re-picked by a
-	// textual-order scan on every step, variables bound through a
-	// string-keyed trail map). Exposed as the differential oracle and
-	// ablation benchmark; results are identical up to atom numbering and
-	// rule order.
-	NaivePlan bool
-
 	// MaxAtoms aborts grounding when the domain exceeds this many atoms
 	// (0 = unlimited). Guards against runaway programs.
 	MaxAtoms int
@@ -234,7 +220,7 @@ func Ground(p *Program, opts GroundingOptions) (*GroundProgram, error) {
 		return nil, err
 	}
 	g := newGrounder(opts)
-	if err := g.groundRules(normal.Rules); err != nil {
+	if _, _, err := g.groundRules(normal.Rules); err != nil {
 		g.release()
 		sp.End()
 		return nil, err
@@ -282,14 +268,15 @@ func prepare(p *Program, ns string) (*Program, error) {
 // groundRules compiles the rules into planned form, runs the definite
 // fixpoint, and grounds constraints against the final relations. Ground
 // facts are emitted inline — no compiled form, no intermediate slice —
-// since tree/scenario programs are dominated by them.
-func (g *grounder) groundRules(rules []Rule) error {
+// since tree/scenario programs are dominated by them. The compiled
+// definite rules and constraints are returned for callers that keep
+// grounding against the result (IncrementalGrounder).
+func (g *grounder) groundRules(rules []Rule) (defs, cons []*plannedRule, err error) {
 	g.delta = make(map[predKey][]int32)
-	var defs, cons []*plannedRule
 	for _, r := range rules {
 		if r.IsFact() {
 			if err := g.emitFact(*r.Head); err != nil {
-				return err
+				return nil, nil, err
 			}
 			continue
 		}
@@ -301,51 +288,14 @@ func (g *grounder) groundRules(rules []Rule) error {
 		}
 	}
 	if err := g.fixpoint(defs); err != nil {
-		return err
+		return nil, nil, err
 	}
 	for _, c := range cons {
 		if err := g.instantiate(c, -1, nil); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
-	return nil
-}
-
-// planRules splits the rules into ground facts (emitted without any
-// compilation — tree/scenario programs are dominated by them), compiled
-// definite rules, and compiled constraints.
-func planRules(rules []Rule) (facts []Atom, defs, cons []*plannedRule) {
-	for _, r := range rules {
-		if r.IsFact() {
-			facts = append(facts, *r.Head)
-			continue
-		}
-		pr := newPlannedRule(r)
-		if pr.isCon {
-			cons = append(cons, pr)
-		} else {
-			defs = append(defs, pr)
-		}
-	}
-	return facts, defs, cons
-}
-
-func (g *grounder) groundPlanned(facts []Atom, defs, cons []*plannedRule) error {
-	g.delta = make(map[predKey][]int32)
-	for _, a := range facts {
-		if err := g.emitFact(a); err != nil {
-			return err
-		}
-	}
-	if err := g.fixpoint(defs); err != nil {
-		return err
-	}
-	for _, c := range cons {
-		if err := g.instantiate(c, -1, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return defs, cons, nil
 }
 
 // emitFact interns a ground fact head and records its instance.
@@ -360,9 +310,8 @@ func (g *grounder) emitFact(a Atom) error {
 }
 
 // instantiate grounds one rule for one delta slot (-1 = against the full
-// relations), dispatching between the compiled-plan VM and the greedy
-// oracle. The empty-delta skip applies to both paths, keeping their
-// observable behaviour (including error reachability) aligned.
+// relations) by running its compiled plan. A slot whose delta is empty
+// has no new instances and is skipped before any plan is compiled.
 func (g *grounder) instantiate(pr *plannedRule, slot int, delta map[predKey][]int32) error {
 	var deltaCands []int32
 	if slot >= 0 {
@@ -370,13 +319,6 @@ func (g *grounder) instantiate(pr *plannedRule, slot int, delta map[predKey][]in
 		if len(deltaCands) == 0 {
 			return nil
 		}
-	}
-	if g.opts.NaivePlan {
-		dp := -1
-		if slot >= 0 {
-			dp = pr.posIdx[slot]
-		}
-		return g.instantiateAgainst(pr.rule, dp, delta)
 	}
 	plan, err := pr.planFor(slot, g)
 	if err != nil {
@@ -694,36 +636,6 @@ func (r *relation) index(arg int, in *Interner) map[argKey][]int32 {
 // probing.
 const indexMinFacts = 8
 
-// candidates narrows the fact ids a pattern atom can match: for each
-// argument that is ground under the current binding, probe that
-// argument's index and keep the smallest bucket.
-func (r *relation) candidates(pattern Atom, b Binding, g *grounder) []int32 {
-	if g.opts.StringKeyed || len(r.ids) < indexMinFacts {
-		return r.ids
-	}
-	best := r.ids
-	for i, t := range pattern.Args {
-		sub := substTerm(t, b)
-		if !sub.Ground() {
-			continue
-		}
-		ev, err := EvalArith(sub)
-		if err != nil {
-			// The argument cannot evaluate; no fact can match (the
-			// per-term matcher fails the same way).
-			return nil
-		}
-		lst := r.index(i, g.in)[termArgKey(ev)]
-		if len(lst) < len(best) {
-			best = lst
-		}
-		if len(best) == 0 {
-			return nil
-		}
-	}
-	return best
-}
-
 type grounder struct {
 	opts GroundingOptions
 
@@ -747,24 +659,22 @@ type grounder struct {
 	addedDomain []int32
 	newRels     []predKey
 
-	// Scratch for instantiateAgainst and finalize. Grounding is
-	// sequential within a grounder, so one set of buffers suffices;
-	// instantiateAgainst is not re-entrant.
-	sDone    []bool
-	sMatched []int32
-	sTr      bindTrail
-	keySc    keyScratch
-	remap    []int32
-	seen     map[string]struct{}
+	// Scratch for finalize. Grounding is sequential within a grounder,
+	// so one set of buffers suffices.
+	keySc keyScratch
+	remap []int32
+	seen  map[string]struct{}
 
 	// Scratch and arena for the plan VM (plan.go): variable registers,
-	// choice-stack frames, interner probe buffers, and the instance-id
-	// arena. Like the trail scratch, per-grounder and not re-entrant.
-	regs   []Term
-	frames []vmFrame
-	keyBuf []byte
-	argBuf []Term
-	arena  i32Arena
+	// matched fact ids per body literal, choice-stack frames, interner
+	// probe buffers, and the instance-id arena. Per-grounder and not
+	// re-entrant.
+	regs     []Term
+	sMatched []int32
+	frames   []vmFrame
+	keyBuf   []byte
+	argBuf   []Term
+	arena    i32Arena
 
 	// Per-call metric accumulators, flushed once per Ground/Extend.
 	scanned      int64
@@ -785,7 +695,6 @@ var grounderPool = sync.Pool{New: func() any {
 	return &grounder{
 		in:  NewInterner(),
 		rel: make(map[predKey]*relation),
-		sTr: bindTrail{b: make(Binding, 8)},
 	}
 }}
 
@@ -827,7 +736,7 @@ type groundInstance struct {
 
 // fixpoint runs semi-naive evaluation of the definite rules.
 func (g *grounder) fixpoint(rules []*plannedRule) error {
-	// g.delta is live on entry: groundPlanned seeds it with the facts.
+	// g.delta is live on entry: groundRules seeds it with the facts.
 
 	// Round 0: rules with no positive atom literals (rules bound purely
 	// by equalities/comparisons).
@@ -865,359 +774,6 @@ func (g *grounder) fixpoint(rules []*plannedRule) error {
 		}
 	}
 	return nil
-}
-
-// bindTrail is a mutable binding with an undo log: matching binds in
-// place and backtracking truncates, avoiding a map clone per candidate
-// fact.
-type bindTrail struct {
-	b     Binding
-	names []string
-}
-
-func (t *bindTrail) bind(name string, val Term) {
-	t.b[name] = val
-	t.names = append(t.names, name)
-}
-
-func (t *bindTrail) mark() int { return len(t.names) }
-
-func (t *bindTrail) undo(m int) {
-	for i := len(t.names) - 1; i >= m; i-- {
-		delete(t.b, t.names[i])
-	}
-	t.names = t.names[:m]
-}
-
-// arithBlocked reports whether the pattern atom has an unbound variable
-// inside an arithmetic subterm — such an argument can only be evaluated,
-// not enumerated, so the literal must wait for the binding.
-func arithBlocked(a Atom, b Binding) bool {
-	blocked := false
-	var walk func(t Term, inArith bool)
-	walk = func(t Term, inArith bool) {
-		if blocked {
-			return
-		}
-		switch tt := t.(type) {
-		case Variable:
-			if inArith {
-				if _, ok := b[tt.Name]; !ok {
-					blocked = true
-				}
-			}
-		case Compound:
-			for _, x := range tt.Args {
-				walk(x, inArith)
-			}
-		case Arith:
-			walk(tt.L, true)
-			walk(tt.R, true)
-		case Range:
-			walk(tt.Lo, true)
-			walk(tt.Hi, true)
-		}
-	}
-	for _, t := range a.Args {
-		walk(t, false)
-	}
-	return blocked
-}
-
-// unboundVarCount counts variable occurrences of t not bound in b.
-func unboundVarCount(t Term, b Binding) int {
-	n := 0
-	walkTermVars(t, func(v Variable) {
-		if _, ok := b[v.Name]; !ok {
-			n++
-		}
-	})
-	return n
-}
-
-// binderSides recognizes a binder equality V = expr (or expr = V): an
-// unbound variable on one side, the other side fully bound.
-func binderSides(l Literal, b Binding) (Variable, Term, bool) {
-	if vv, ok := l.Lhs.(Variable); ok {
-		if _, bound := b[vv.Name]; !bound && unboundVarCount(l.Rhs, b) == 0 {
-			return vv, l.Rhs, true
-		}
-	}
-	if vv, ok := l.Rhs.(Variable); ok {
-		if _, bound := b[vv.Name]; !bound && unboundVarCount(l.Lhs, b) == 0 {
-			return vv, l.Lhs, true
-		}
-	}
-	return Variable{}, nil, false
-}
-
-func (g *grounder) instantiateAgainst(r Rule, deltaPos int, delta map[predKey][]int32) error {
-	// Backtracking join over body literals. Literals are processed
-	// greedily: a positive atom literal is always processable (its
-	// unbound variables enumerate the relation); a comparison is
-	// processable once its variables are bound, except V = expr which is
-	// processable when expr's variables are bound; a negative literal is
-	// processed at the end (checked against the domain when producing the
-	// instance).
-	n := len(r.Body)
-	g.sDone = grow(g.sDone, n)
-	if cap(g.sMatched) < n {
-		g.sMatched = make([]int32, n)
-	}
-	g.sMatched = g.sMatched[:n]
-	done := g.sDone
-	matched := g.sMatched
-	tr := &g.sTr
-	tr.undo(0)
-
-	var step func(remaining int) error
-	step = func(remaining int) error {
-		if remaining == 0 {
-			return g.emitInstance(r, tr.b, matched)
-		}
-		// Pick the next processable literal.
-		pick := -1
-		var pickKind int // 0 = positive atom, 1 = binder equality, 2 = ground comparison, 3 = ground negative
-		for i := range done {
-			if done[i] {
-				continue
-			}
-			l := &r.Body[i]
-			if !l.IsCmp && !l.Negated {
-				// A positive literal is deferred while variables inside its
-				// arithmetic subterms are unbound: the matcher can only
-				// evaluate such arguments, never enumerate them, so
-				// scheduling it earlier would silently match nothing.
-				if pick == -1 && !arithBlocked(l.Atom, tr.b) {
-					pick, pickKind = i, 0
-				}
-				continue
-			}
-			if l.IsCmp {
-				if unboundVarCount(l.Lhs, tr.b) == 0 && unboundVarCount(l.Rhs, tr.b) == 0 {
-					pick, pickKind = i, 2
-					break // ground comparisons filter earliest
-				}
-				if l.Op == CmpEq {
-					if _, _, ok := binderSides(*l, tr.b); ok {
-						pick, pickKind = i, 1
-						break
-					}
-				}
-				continue
-			}
-			// Negative literal: processable when ground; defer as late as
-			// possible but acceptable when ground.
-			if pick == -1 {
-				ground := true
-				for _, t := range l.Atom.Args {
-					if unboundVarCount(t, tr.b) > 0 {
-						ground = false
-						break
-					}
-				}
-				if ground {
-					pick, pickKind = i, 3
-				}
-			}
-		}
-		if pick == -1 {
-			// Nothing processable: all remaining literals are stuck.
-			// Safety rules this out except for cyclic arithmetic
-			// dependencies between literals; report which literals and
-			// variables are blocked.
-			return stuckRuleError(r, done, func(name string) bool {
-				_, ok := tr.b[name]
-				return ok
-			})
-		}
-
-		done[pick] = true
-		defer func() { done[pick] = false }()
-		l := r.Body[pick]
-
-		switch pickKind {
-		case 0: // positive atom: enumerate matching relation atoms
-			pk := atomPredKey(l.Atom)
-			var cands []int32
-			if deltaPos == pick {
-				cands = delta[pk]
-			} else if rel := g.rel[pk]; rel != nil {
-				cands = rel.candidates(l.Atom, tr.b, g)
-			}
-			for _, id := range cands {
-				g.scanned++
-				m := tr.mark()
-				if matchAtomTrail(l.Atom, g.in.atoms[id], tr) {
-					matched[pick] = id
-					if err := step(remaining - 1); err != nil {
-						tr.undo(m)
-						return err
-					}
-				}
-				tr.undo(m)
-			}
-			return nil
-		case 1: // binder equality V = expr
-			v, expr, ok := binderSides(l, tr.b)
-			if !ok {
-				return fmt.Errorf("grounder lost binder equality in rule %q", r.String())
-			}
-			val, err := EvalArith(substTerm(expr, tr.b))
-			if err != nil {
-				return err
-			}
-			m := tr.mark()
-			tr.bind(v.Name, val)
-			err = step(remaining - 1)
-			tr.undo(m)
-			return err
-		case 2: // ground comparison
-			ok, err := EvalCmp(Literal{IsCmp: true, Op: l.Op,
-				Lhs: substTerm(l.Lhs, tr.b), Rhs: substTerm(l.Rhs, tr.b), Pos: l.Pos})
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			return step(remaining - 1)
-		default: // ground negative literal: domain membership decided at finalize
-			return step(remaining - 1)
-		}
-	}
-	return step(n)
-}
-
-// matchAtomTrail unifies a (possibly non-ground) pattern atom against a
-// ground fact, binding variables on the trail. On failure the caller must
-// undo to its mark (partial bindings may remain).
-func matchAtomTrail(pattern, fact Atom, tr *bindTrail) bool {
-	if pattern.Predicate != fact.Predicate || len(pattern.Args) != len(fact.Args) {
-		return false
-	}
-	for i := range pattern.Args {
-		if !matchTermTrail(pattern.Args[i], fact.Args[i], tr) {
-			return false
-		}
-	}
-	return true
-}
-
-func matchTermTrail(pattern, ground Term, tr *bindTrail) bool {
-	switch pt := pattern.(type) {
-	case Variable:
-		if bound, ok := tr.b[pt.Name]; ok {
-			return termEq(bound, ground)
-		}
-		tr.bind(pt.Name, ground)
-		return true
-	case Arith:
-		// Arithmetic in a body pattern: evaluable only if already bound.
-		sub := pt.substitute(tr.b)
-		if !sub.Ground() {
-			return false
-		}
-		val, err := EvalArith(sub)
-		if err != nil {
-			return false
-		}
-		return termEq(val, ground)
-	case Compound:
-		gt, ok := ground.(Compound)
-		if !ok || gt.Functor != pt.Functor || len(gt.Args) != len(pt.Args) {
-			return false
-		}
-		for i := range pt.Args {
-			if !matchTermTrail(pt.Args[i], gt.Args[i], tr) {
-				return false
-			}
-		}
-		return true
-	default:
-		return TermsEqual(substTerm(pattern, tr.b), ground)
-	}
-}
-
-// matchAtom unifies a pattern atom against a ground fact, extending
-// binding b into a fresh binding. Returns nil when no match. Retained for
-// one-shot evaluation (EvalRule), where no trail is threaded.
-func matchAtom(pattern, fact Atom, b Binding) Binding {
-	if pattern.Predicate != fact.Predicate || len(pattern.Args) != len(fact.Args) {
-		return nil
-	}
-	tr := bindTrail{b: b.clone()}
-	for i := range pattern.Args {
-		if !matchTermTrail(pattern.Args[i], fact.Args[i], &tr) {
-			return nil
-		}
-	}
-	return tr.b
-}
-
-// emitInstance records a fully bound rule instance: positive body atoms
-// are the matched fact ids, negative atoms are interned (without joining
-// the domain), the head atom is evaluated and added to the domain.
-func (g *grounder) emitInstance(r Rule, b Binding, matched []int32) error {
-	inst := groundInstance{head: -1}
-	for i, l := range r.Body {
-		if l.IsCmp {
-			continue
-		}
-		if !l.Negated {
-			inst.pos = append(inst.pos, matched[i])
-			continue
-		}
-		ev, err := evalAtomArgs(l.Atom.Substitute(b))
-		if err != nil {
-			return err
-		}
-		inst.neg = append(inst.neg, g.internAtom(ev))
-	}
-	if r.Head != nil {
-		ev, err := evalAtomArgs(r.Head.Substitute(b))
-		if err != nil {
-			return err
-		}
-		if !ev.Ground() {
-			return fmt.Errorf("non-ground head %s after substitution of %q", ev, r.String())
-		}
-		inst.head = g.addAtom(ev)
-	}
-	g.pending = append(g.pending, inst)
-	return nil
-}
-
-func evalAtomArgs(a Atom) (Atom, error) {
-	if len(a.Args) == 0 {
-		return a, nil
-	}
-	args := make([]Term, len(a.Args))
-	for i, t := range a.Args {
-		ev, err := EvalArith(t)
-		if err != nil {
-			return Atom{}, err
-		}
-		args[i] = ev
-	}
-	return Atom{Predicate: a.Predicate, Args: args}, nil
-}
-
-// internAtom interns an atom without adding it to the domain.
-func (g *grounder) internAtom(a Atom) int32 {
-	id := g.in.Intern(a)
-	for int(id) >= len(g.inDomain) {
-		g.inDomain = append(g.inDomain, false)
-	}
-	return id
-}
-
-// addAtom interns an atom and adds it to the domain, relations and the
-// current delta.
-func (g *grounder) addAtom(a Atom) int32 {
-	id := g.internAtom(a)
-	g.addAtomID(id)
-	return id
 }
 
 // addAtomID adds an already-interned atom to the domain, relations and

@@ -111,8 +111,8 @@ func NewIncrementalGrounder(base *Program, opts GroundingOptions) (*IncrementalG
 		return nil, err
 	}
 	g := newGrounder(opts)
-	baseFacts, baseDefs, baseCons := planRules(normal.Rules)
-	if err := g.groundPlanned(baseFacts, baseDefs, baseCons); err != nil {
+	baseDefs, baseCons, err := g.groundRules(normal.Rules)
+	if err != nil {
 		return nil, err
 	}
 	// The base instances alias the arena; freeze it so extension rounds

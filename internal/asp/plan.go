@@ -16,8 +16,7 @@ package asp
 // per-example grounders with it); the join order is chosen with the
 // relation sizes of the first grounder that compiles the slot, but the
 // order's *correctness* depends only on the rule itself — boundness
-// constraints are static — so sharing is safe. The legacy greedy path
-// is kept behind GroundingOptions.NaivePlan as the differential oracle.
+// constraints are static — so sharing is safe.
 
 import (
 	"fmt"
@@ -85,7 +84,7 @@ func (pr *plannedRule) compileExpr(t Term) cExpr {
 
 // evalExpr evaluates a compiled expression over the register frame.
 // Error diagnostics are produced by re-running EvalArith on the
-// substituted source term, so they match the greedy path exactly.
+// substituted source term, so they are EvalArith's own messages.
 func evalExpr(e *cExpr, pr *plannedRule, regs []Term) (Term, error) {
 	switch e.kind {
 	case ceConst:
@@ -216,8 +215,7 @@ func (pr *plannedRule) compileMatch(t Term, bound []bool) argMatch {
 		return argMatch{kind: amStruct, functor: tt.Functor, sub: sub}
 	default:
 		// Arith (vars guaranteed bound by scheduling) or exotic terms:
-		// evaluate and compare, failing the match on evaluation errors —
-		// the same outcome as the trail matcher.
+		// evaluate and compare, failing the match on evaluation errors.
 		e := pr.compileExpr(t)
 		return argMatch{kind: amExpr, expr: &e}
 	}
@@ -446,7 +444,7 @@ func newPlannedRule(r Rule) *plannedRule {
 		pr.body = append(pr.body, pl)
 	}
 	// Emission templates: negative body atoms in body order, then the
-	// head (matching the greedy emit order, including interning order).
+	// head (the order emitPlanned interns them in).
 	for _, l := range r.Body {
 		if l.IsCmp || !l.Negated {
 			continue
@@ -504,7 +502,7 @@ func (pr *plannedRule) planFor(slot int, g *grounder) (*groundPlan, error) {
 //
 //  1. Ground comparisons and binder equalities are hoisted to the
 //     earliest point they become evaluable (textual order among
-//     candidates, mirroring the greedy picker).
+//     candidates).
 //  2. The delta literal is scheduled as soon as it is schedulable (its
 //     candidates are the round's delta — typically the smallest
 //     relation in the join).
@@ -531,7 +529,7 @@ func (pr *plannedRule) compilePlan(slot int, g *grounder) (*groundPlan, error) {
 	}
 
 	// flush hoists every evaluable comparison/binder, restarting the
-	// textual scan after each emission like the greedy picker does.
+	// textual scan after each emission.
 	flush := func() {
 		for {
 			progressed := false
@@ -729,10 +727,9 @@ type vmFrame struct {
 
 // planCandidates narrows the candidate facts of a scan op by probing
 // the per-argument indexes with the op's fully-bound arguments,
-// keeping the smallest bucket (the planned equivalent of
-// relation.candidates).
+// keeping the smallest bucket.
 func (g *grounder) planCandidates(rel *relation, op *planOp, pr *plannedRule) []int32 {
-	if g.opts.StringKeyed || len(rel.ids) < indexMinFacts || len(op.probes) == 0 {
+	if len(rel.ids) < indexMinFacts || len(op.probes) == 0 {
 		return rel.ids
 	}
 	best := rel.ids
@@ -1121,7 +1118,7 @@ func GroundWithPlans(p *Program, opts GroundingOptions) (*GroundProgram, []PlanI
 	g := newGrounder(opts)
 	var trace []PlanInfo
 	g.planTrace = &trace
-	if err := g.groundRules(normal.Rules); err != nil {
+	if _, _, err := g.groundRules(normal.Rules); err != nil {
 		g.release()
 		return nil, trace, err
 	}

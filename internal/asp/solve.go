@@ -91,36 +91,14 @@ func (as *AnswerSet) String() string {
 	return sb.String()
 }
 
-// EngineKind selects the solving engine.
-type EngineKind int
-
-const (
-	// EngineCDNL is the default: conflict-driven nogood learning over
-	// the Clark-completion clause form (compile.go, cdnl.go).
-	EngineCDNL EngineKind = iota
-	// EngineDFS is the legacy chronological search kept as a
-	// differential oracle for the CDNL engine (and for the
-	// NaiveBranching ablation, which is a DFS-only concept).
-	EngineDFS
-)
-
 // SolveOptions configures the solver.
 type SolveOptions struct {
 	// MaxModels bounds the number of answer sets returned (0 = all).
 	MaxModels int
 
-	// NaiveBranching branches over every atom instead of only atoms that
-	// occur under negation. Exposed for the ablation benchmark; results
-	// are identical but search is exponentially larger. Implies
-	// EngineDFS: the CDNL engine has no guess-over-NAF phase to ablate.
-	NaiveBranching bool
-
 	// MaxDecisions aborts the search after this many branching decisions
 	// (0 = unlimited). Guards real-time callers (paper Section III.B).
 	MaxDecisions int64
-
-	// Engine selects the solving engine; the zero value is EngineCDNL.
-	Engine EngineKind
 
 	// Context, when non-nil, cancels the search: the solver polls it on
 	// every decision and periodically during propagation, returning the
@@ -152,13 +130,12 @@ func HasAnswerSet(p *Program) (bool, error) {
 
 // SolveGround enumerates the stable models of a ground program.
 //
-// The search assigns truth values to "choice atoms" — atoms occurring in
-// some negative body (plus every atom under NaiveBranching) — because the
-// reduct, and hence the candidate stable model, is fully determined by
-// that assignment: the remaining atoms take the least-model value. Each
-// total assignment is verified by computing the least model of the reduct
-// and checking (1) the assignment is reproduced and (2) no constraint
-// body is satisfied.
+// The program is compiled once into its Clark-completion clause form
+// (compile.go) and searched by the CDNL engine (cdnl.go): unit
+// propagation, conflict learning with backjumping, and, for non-tight
+// programs, an unfounded-set check that rejects completion models
+// without well-founded support. Each model found is blocked before the
+// search continues, so enumeration is deterministic.
 func SolveGround(g *GroundProgram, opts SolveOptions) ([]*AnswerSet, error) {
 	return SolveGroundScratch(g, opts, nil)
 }
@@ -178,9 +155,6 @@ func SolveGroundScratch(g *GroundProgram, opts SolveOptions, sc *SolverScratch) 
 	if sc == nil {
 		sc = scratchPool.Get().(*SolverScratch)
 		defer scratchPool.Put(sc)
-	}
-	if opts.Engine == EngineDFS || opts.NaiveBranching {
-		return solveGroundDFS(g, opts, sc)
 	}
 	t0 := time.Now()
 	sp := obs.StartSpan("asp.solve")
@@ -212,63 +186,16 @@ func SolveGroundScratch(g *GroundProgram, opts SolveOptions, sc *SolverScratch) 
 	return models, nil
 }
 
-// solveGroundDFS is the legacy chronological engine, retained as a
-// differential oracle for the CDNL engine.
-func solveGroundDFS(g *GroundProgram, opts SolveOptions, sc *SolverScratch) ([]*AnswerSet, error) {
-	t0 := time.Now()
-	sp := obs.StartSpan("asp.solve")
-	s := newSolver(g, opts, sc)
-	err := s.run()
-	statSolveCalls.Inc()
-	statSolveDur.ObserveSince(t0)
-	statDecisions.Add(s.decisions)
-	statConflicts.Add(s.conflicts)
-	statPropagations.Add(s.propagations)
-	statModelsFound.Add(int64(len(s.models)))
-	if obs.TracingEnabled() {
-		sp.SetAttr("atoms", strconv.Itoa(g.NumAtoms()))
-		sp.SetAttr("decisions", strconv.FormatInt(s.decisions, 10))
-		sp.SetAttr("conflicts", strconv.FormatInt(s.conflicts, 10))
-		sp.SetAttr("models", strconv.Itoa(len(s.models)))
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return s.models, nil
-}
-
 const (
 	vUnknown int8 = 0
 	vTrue    int8 = 1
 	vFalse   int8 = 2
 )
 
-// posWatchEntry records that a rule has an atom in its positive body with
-// the given multiplicity.
-type posWatchEntry struct {
-	rule int32
-	mult int32
-}
-
 // SolverScratch holds the reusable buffers of SolveGroundScratch. One
 // scratch serves any sequence of solves (buffers grow to the largest
 // program seen) but must not be used by two solves concurrently.
 type SolverScratch struct {
-	isChoice    []bool
-	assign      []int8
-	lmTrue      []bool
-	lmCount     []int32
-	lmQueue     []int32
-	occ         []int32
-	choice      []int32
-	constraints []int32
-	posOff      []int32
-	posNext     []int32
-	posEnt      []posWatchEntry
-
-	// cd holds the CDNL engine's state; its buffers are likewise reused
-	// across solves.
 	cd cdnlSolver
 }
 
@@ -298,382 +225,6 @@ func growLists(s [][]int32, n int) [][]int32 {
 		s[i] = s[i][:0]
 	}
 	return s
-}
-
-type solver struct {
-	g    *GroundProgram
-	opts SolveOptions
-	sc   *SolverScratch
-
-	choice    []int32 // choice atom ids, branch order
-	isChoice  []bool
-	assign    []int8 // per atom id (only meaningful for choice atoms)
-	models    []*AnswerSet
-	decisions int64
-
-	// Per-run telemetry, flushed once by SolveGround: conflicts counts
-	// pruned branches plus rejected leaves, propagations counts atoms
-	// popped from the least-model queue.
-	conflicts    int64
-	propagations int64
-
-	// constraints lists the indices of headless rules.
-	constraints []int32
-
-	// scratch buffers for least-model computation.
-	lmCount []int32
-	lmTrue  []bool
-	lmQueue []int32
-
-	// posWatch in CSR form: posEnt[posOff[a]:posOff[a+1]] lists the
-	// (rule, multiplicity) pairs for rules having atom a in their
-	// positive body. Two flat slices replace the per-atom slice-of-slices
-	// of the original representation.
-	posOff []int32
-	posEnt []posWatchEntry
-}
-
-func newSolver(g *GroundProgram, opts SolveOptions, sc *SolverScratch) *solver {
-	if sc == nil {
-		sc = &SolverScratch{}
-	}
-	n := g.NumAtoms()
-	sc.isChoice = grow(sc.isChoice, n)
-	sc.assign = grow(sc.assign, n)
-	sc.lmTrue = grow(sc.lmTrue, n)
-	sc.lmCount = grow(sc.lmCount, len(g.Rules))
-	sc.occ = grow(sc.occ, n)
-	sc.choice = sc.choice[:0]
-	sc.constraints = sc.constraints[:0]
-	s := &solver{
-		g:        g,
-		opts:     opts,
-		sc:       sc,
-		isChoice: sc.isChoice,
-		assign:   sc.assign,
-		lmCount:  sc.lmCount,
-		lmTrue:   sc.lmTrue,
-		lmQueue:  sc.lmQueue[:0],
-	}
-	occurrences := sc.occ
-	for ri := range g.Rules {
-		r := &g.Rules[ri]
-		for _, a := range r.NegBody {
-			s.isChoice[a] = true
-			occurrences[a]++
-		}
-		for _, a := range r.PosBody {
-			occurrences[a]++
-		}
-		if r.Head < 0 {
-			sc.constraints = append(sc.constraints, int32(ri))
-		}
-	}
-	s.constraints = sc.constraints
-	if opts.NaiveBranching {
-		for a := 0; a < n; a++ {
-			s.isChoice[a] = true
-		}
-	}
-	for a := int32(0); a < int32(n); a++ {
-		if s.isChoice[a] {
-			sc.choice = append(sc.choice, a)
-		}
-	}
-	s.choice = sc.choice
-	// Branch on the most-constrained atoms first.
-	sort.Slice(s.choice, func(i, j int) bool {
-		return occurrences[s.choice[i]] > occurrences[s.choice[j]]
-	})
-	s.buildPosWatch()
-	return s
-}
-
-func (s *solver) run() error {
-	return s.search(0)
-}
-
-func (s *solver) budget() error {
-	s.decisions++
-	if s.opts.MaxDecisions > 0 && s.decisions > s.opts.MaxDecisions {
-		return ErrSearchBudget
-	}
-	if s.opts.Context != nil && s.decisions&255 == 0 {
-		if err := s.opts.Context.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *solver) search(depth int) error {
-	if s.opts.MaxModels > 0 && len(s.models) >= s.opts.MaxModels {
-		return nil
-	}
-	if depth == len(s.choice) {
-		return s.checkLeaf()
-	}
-	if pruned := s.prune(); pruned {
-		s.conflicts++
-		return nil
-	}
-	a := s.choice[depth]
-	for _, v := range [2]int8{vFalse, vTrue} {
-		if err := s.budget(); err != nil {
-			return err
-		}
-		s.assign[a] = v
-		if err := s.search(depth + 1); err != nil {
-			s.assign[a] = vUnknown
-			return err
-		}
-	}
-	s.assign[a] = vUnknown
-	return nil
-}
-
-// prune computes cheap under/over approximations of the derivable atoms
-// under the current partial assignment and rejects branches that cannot
-// lead to a stable model.
-//
-//   - under: least model using only rules whose negative atoms are all
-//     assigned false (certain derivations). An under-derived atom assigned
-//     false is a conflict.
-//   - over: least model using rules whose negative atoms are not assigned
-//     true (possible derivations). A choice atom assigned true that is not
-//     over-derivable is a conflict.
-func (s *solver) prune() bool {
-	// The under-approximation is seeded with the atoms already assigned
-	// true: any leaf completing this branch must reproduce them in its
-	// least model, so everything derivable from them (through rules
-	// whose negative bodies are already false) is certain. Seeding is
-	// what lets constraint conflicts between assigned choice atoms
-	// surface immediately (unit-propagation strength on e.g. coloring
-	// programs).
-	under := s.leastModelSeeded(func(r GroundRule) bool {
-		for _, a := range r.NegBody {
-			if s.assign[a] != vFalse {
-				return false
-			}
-		}
-		return true
-	}, true)
-	// NOTE: leastModel reuses a scratch buffer, so all checks against
-	// `under` must complete before `over` is computed.
-	for _, a := range s.choice {
-		if s.assign[a] == vFalse && under[a] {
-			return true
-		}
-	}
-	// A constraint certainly violated: positive body all under-derived,
-	// negative body all assigned false.
-	for _, ci := range s.constraints {
-		r := s.g.Rules[ci]
-		violated := true
-		for _, a := range r.PosBody {
-			if !under[a] {
-				violated = false
-				break
-			}
-		}
-		if !violated {
-			continue
-		}
-		for _, a := range r.NegBody {
-			if s.assign[a] != vFalse {
-				violated = false
-				break
-			}
-		}
-		if violated {
-			return true
-		}
-	}
-	over := s.leastModel(func(r GroundRule) bool {
-		for _, a := range r.NegBody {
-			if s.assign[a] == vTrue {
-				return false
-			}
-		}
-		return true
-	})
-	for _, a := range s.choice {
-		if s.assign[a] == vTrue && !over[a] {
-			return true
-		}
-	}
-	return false
-}
-
-// leastModel computes the least model of the definite program formed by
-// the rules selected by keep (negative bodies are ignored once kept),
-// using counter-based propagation. The returned slice is reused across
-// calls; callers must not retain it.
-func (s *solver) leastModel(keep func(GroundRule) bool) []bool {
-	return s.leastModelSeeded(keep, false)
-}
-
-// leastModelSeeded is leastModel optionally seeded with the choice atoms
-// currently assigned true (sound for pruning only; see prune).
-func (s *solver) leastModelSeeded(keep func(GroundRule) bool, seedAssigned bool) []bool {
-	for i := range s.lmTrue {
-		s.lmTrue[i] = false
-	}
-	s.lmQueue = s.lmQueue[:0]
-	if seedAssigned {
-		for _, a := range s.choice {
-			if s.assign[a] == vTrue {
-				s.lmTrue[a] = true
-				s.lmQueue = append(s.lmQueue, a)
-			}
-		}
-	}
-	for ri, r := range s.g.Rules {
-		if r.Head < 0 || !keep(r) {
-			s.lmCount[ri] = -1
-			continue
-		}
-		s.lmCount[ri] = int32(len(r.PosBody))
-		if s.lmCount[ri] == 0 && !s.lmTrue[r.Head] {
-			s.lmTrue[r.Head] = true
-			s.lmQueue = append(s.lmQueue, r.Head)
-		}
-	}
-	for qi := 0; qi < len(s.lmQueue); qi++ {
-		a := s.lmQueue[qi]
-		for wi, end := s.posOff[a], s.posOff[a+1]; wi < end; wi++ {
-			w := s.posEnt[wi]
-			if s.lmCount[w.rule] < 0 {
-				continue
-			}
-			s.lmCount[w.rule] -= w.mult
-			if s.lmCount[w.rule] == 0 {
-				h := s.g.Rules[w.rule].Head
-				if h >= 0 && !s.lmTrue[h] {
-					s.lmTrue[h] = true
-					s.lmQueue = append(s.lmQueue, h)
-				}
-			}
-		}
-	}
-	// Every queued atom was popped and propagated exactly once.
-	s.propagations += int64(len(s.lmQueue))
-	// Keep any capacity the queue grew for the next solve on this scratch.
-	s.sc.lmQueue = s.lmQueue
-	return s.lmTrue
-}
-
-func (s *solver) buildPosWatch() {
-	n := s.g.NumAtoms()
-	sc := s.sc
-	sc.posOff = grow(sc.posOff, n+1)
-	// Pass 1: bucket sizes. Each atom counts once per rule (multiplicity
-	// is folded into the entry).
-	for ri := range s.g.Rules {
-		r := &s.g.Rules[ri]
-		for bi, a := range r.PosBody {
-			dup := false
-			for _, prev := range r.PosBody[:bi] {
-				if prev == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				sc.posOff[a+1]++
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		sc.posOff[a+1] += sc.posOff[a]
-	}
-	total := int(sc.posOff[n])
-	if cap(sc.posEnt) < total {
-		sc.posEnt = make([]posWatchEntry, total)
-	}
-	sc.posEnt = sc.posEnt[:total]
-	// Pass 2: fill via per-atom cursors; rule order within a bucket
-	// matches the original append order.
-	sc.posNext = grow(sc.posNext, n)
-	copy(sc.posNext, sc.posOff[:n])
-	for ri := range s.g.Rules {
-		r := &s.g.Rules[ri]
-		for bi, a := range r.PosBody {
-			dup := false
-			for _, prev := range r.PosBody[:bi] {
-				if prev == a {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			mult := int32(0)
-			for _, other := range r.PosBody {
-				if other == a {
-					mult++
-				}
-			}
-			sc.posEnt[sc.posNext[a]] = posWatchEntry{rule: int32(ri), mult: mult}
-			sc.posNext[a]++
-		}
-	}
-	s.posOff = sc.posOff
-	s.posEnt = sc.posEnt
-}
-
-// checkLeaf verifies the total assignment: computes the least model of
-// the reduct, checks the assignment is reproduced, and checks all
-// constraints.
-func (s *solver) checkLeaf() error {
-	lm := s.leastModel(func(r GroundRule) bool {
-		for _, a := range r.NegBody {
-			if s.assign[a] != vFalse {
-				return false
-			}
-		}
-		return true
-	})
-	for _, a := range s.choice {
-		want := s.assign[a] == vTrue
-		if lm[a] != want {
-			s.conflicts++
-			return nil
-		}
-	}
-	// Constraints: the body must not be satisfied by the model.
-	for _, ci := range s.constraints {
-		r := s.g.Rules[ci]
-		sat := true
-		for _, a := range r.PosBody {
-			if !lm[a] {
-				sat = false
-				break
-			}
-		}
-		if !sat {
-			continue
-		}
-		for _, a := range r.NegBody {
-			if lm[a] {
-				sat = false
-				break
-			}
-		}
-		if sat {
-			s.conflicts++
-			return nil // constraint violated
-		}
-	}
-	atoms := make([]Atom, 0, 16)
-	for id, t := range lm {
-		if t && !isInternalAtom(s.g.Atoms[id]) {
-			atoms = append(atoms, s.g.Atoms[id])
-		}
-	}
-	s.models = append(s.models, NewAnswerSet(atoms...))
-	return nil
 }
 
 // isInternalAtom hides atoms introduced by choice-rule compilation.

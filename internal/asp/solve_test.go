@@ -180,30 +180,6 @@ func TestSolveDecisionBudget(t *testing.T) {
 	}
 }
 
-func TestSolveNaiveBranchingEquivalence(t *testing.T) {
-	srcs := []string{
-		"a :- not b. b :- not a.",
-		"p :- not p.",
-		"node(a). node(b). {in(X)} :- node(X). :- in(a), in(b).",
-		"p :- q. q :- p. r :- not p.",
-		"a :- not b. b :- not c. c :- not a.", // odd cycle of 3: no model
-	}
-	for _, src := range srcs {
-		fast := solveSrc(t, src, SolveOptions{})
-		naive := solveSrc(t, src, SolveOptions{NaiveBranching: true})
-		f, n := modelStrings(fast), modelStrings(naive)
-		if len(f) != len(n) {
-			t.Errorf("%q: model counts differ fast=%v naive=%v", src, f, n)
-			continue
-		}
-		for i := range f {
-			if f[i] != n[i] {
-				t.Errorf("%q: models differ: fast=%v naive=%v", src, f, n)
-			}
-		}
-	}
-}
-
 func TestSolveConstraintWithNegation(t *testing.T) {
 	// :- not p. forces p to be derivable.
 	models := solveSrc(t, "p :- not q. q :- not p. :- not p.", SolveOptions{})

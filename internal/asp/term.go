@@ -245,15 +245,6 @@ func (a Arith) key(sb *strings.Builder) {
 // Binding maps variable names to terms.
 type Binding map[string]Term
 
-// clone returns a copy of the binding.
-func (b Binding) clone() Binding {
-	nb := make(Binding, len(b))
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
-}
-
 // EvalArith evaluates a ground term to an integer or leaves it unchanged.
 // It returns an error for arithmetic over non-integers or division by
 // zero.
