@@ -13,7 +13,6 @@ package asglearn
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"agenp/internal/asg"
 	"agenp/internal/asp"
@@ -127,13 +126,11 @@ func (t *Task) Learn(opts ilasp.LearnOptions) (*Result, error) {
 
 // asgOracle adapts the task to the ILASP search engine. Covers is safe
 // for the search's concurrent calls: membership checks build fresh
-// grammars per call, and the memo is mutex-guarded.
+// grammars per call. There is no verdict memo: a search checks each
+// hypothesis at most once, and every Learn builds a fresh oracle.
 type asgOracle struct {
 	task  *Task
 	cands []ilasp.Candidate
-
-	mu    sync.Mutex
-	cache map[string][]int8
 }
 
 var _ ilasp.Oracle = (*asgOracle)(nil)
@@ -149,41 +146,11 @@ func (o *asgOracle) Candidates() []ilasp.Candidate {
 }
 
 func (o *asgOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
-	var kb strings.Builder
-	for _, c := range chosen {
-		fmt.Fprintf(&kb, "%d,", c)
-	}
-	key := kb.String()
-	o.mu.Lock()
-	if o.cache == nil {
-		o.cache = make(map[string][]int8)
-	}
-	row := o.cache[key]
-	if row == nil {
-		row = make([]int8, len(o.task.Examples))
-		o.cache[key] = row
-	}
-	v := row[exampleIdx]
-	o.mu.Unlock()
-	if v != 0 {
-		return v == 1, nil
-	}
 	h := make([]asg.HypothesisRule, len(chosen))
 	for i, ci := range chosen {
 		h[i] = o.task.Space[ci]
 	}
-	ok, err := o.task.Covers(h, o.task.Examples[exampleIdx])
-	if err != nil {
-		return false, err
-	}
-	o.mu.Lock()
-	if ok {
-		row[exampleIdx] = 1
-	} else {
-		row[exampleIdx] = -1
-	}
-	o.mu.Unlock()
-	return ok, nil
+	return o.task.Covers(h, o.task.Examples[exampleIdx])
 }
 
 // ProductionBias pairs an ILASP language bias with the production(s) its

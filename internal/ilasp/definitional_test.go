@@ -1,0 +1,328 @@
+package ilasp
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"agenp/internal/asp"
+)
+
+// The learners are checked against the definition of an optimal
+// hypothesis: enumerate every subset of at most MaxRules candidates,
+// score each with Task.Covers (ground and solve B ∪ H ∪ context), and
+// compare the learner's answer with the best score.
+
+// Candidate rules a fuzzed task draws from. Heads (h, g, q) occur in no
+// body, so every drawn space is independent.
+var defTemplates = []string{
+	"h :- a.",
+	"h :- b.",
+	"h :- a, b.",
+	"h :- not a.",
+	"h :- c, not b.",
+	"h :- p(X), X > 1.",
+	"g :- a.",
+	"g :- c.",
+	"g :- b, not c.",
+	"g :- p(2).",
+	"q(X) :- p(X).",
+	"q(1) :- p(1).",
+	"q(X) :- p(X), not a.",
+	"q(2) :- b.",
+}
+
+var (
+	// defTargets are the atoms inclusions and exclusions draw from.
+	defTargets = []string{"h", "g", "q(1)", "q(2)", "a", "b"}
+	// defFacts are the atoms an example context may assert.
+	defFacts = []string{"a", "b", "c", "p(1)", "p(2)"}
+	// defBackgrounds: none, a derived body atom, two answer sets (not
+	// vectorizable), and a constraint that leaves examples whose context
+	// holds c without an answer set.
+	defBackgrounds = []string{"", "b :- a.", "{c}.", ":- c."}
+)
+
+// decodeLearnTask decodes a small independent task: at most 6 candidates
+// with costs 0–3 and at most 4 examples of mixed polarity with weights
+// 0–3. Missing bytes read as zero.
+func decodeLearnTask(t *testing.T, data []byte) (*Task, LearnOptions) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	atoms := func(names []string, mask int) []asp.Atom {
+		var out []asp.Atom
+		for i, n := range names {
+			if mask&(1<<i) != 0 {
+				out = append(out, atom(t, n))
+			}
+		}
+		return out
+	}
+	flags := next()
+	opts := LearnOptions{
+		Noise:       flags&1 != 0,
+		MaxRules:    1 + (flags>>1)%3,
+		Parallelism: 1 + (flags>>3)&1,
+	}
+	task := &Task{Background: prog(t, defBackgrounds[(flags>>4)%len(defBackgrounds)])}
+	for n := next() % 7; n > 0; n-- {
+		r, err := asp.ParseRule(defTemplates[next()%len(defTemplates)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		task.Space = append(task.Space, Candidate{Rule: r, Cost: next() % 4})
+	}
+	for n := next() % 5; n > 0; n-- {
+		head, incl, excl := next(), next(), next()
+		e := Example{
+			ID:         fmt.Sprintf("e%d", len(task.Examples)),
+			Positive:   head&1 != 0,
+			Weight:     (head >> 1) % 4,
+			Inclusions: atoms(defTargets, incl),
+			Exclusions: atoms(defTargets, excl),
+			Context:    asp.NewProgram(),
+		}
+		for _, a := range atoms(defFacts, head>>3) {
+			e.Context.Add(asp.NewRule(a))
+		}
+		if incl&0x80 != 0 && len(e.Inclusions) > 0 {
+			e.Inclusions = append(e.Inclusions, e.Inclusions[0]) // repeated inclusion
+		}
+		task.Examples = append(task.Examples, e)
+	}
+	return task, opts
+}
+
+// defScore is the definitional verdict on one candidate subset.
+type defScore struct {
+	covered  int
+	feasible bool // every hard example covered
+	obj      int  // cost plus the weights of uncovered soft examples
+}
+
+// defTable is the brute-force reference for one task: the best objective
+// over all subsets of at most MaxRules candidates (ok false when none is
+// feasible), and every subset's score keyed by its rules and cost.
+type defTable struct {
+	best   int
+	ok     bool
+	scores map[string]defScore
+}
+
+func defKey(rules []asp.Rule, cost int) string {
+	s := make([]string, len(rules))
+	for i, r := range rules {
+		s[i] = r.String()
+	}
+	sort.Strings(s)
+	return fmt.Sprintf("%s#%d", strings.Join(s, " "), cost)
+}
+
+func bruteForceLearn(t *testing.T, task *Task, opts LearnOptions) *defTable {
+	t.Helper()
+	tab := &defTable{scores: map[string]defScore{}}
+	var chosen []int
+	var walk func(from int)
+	walk = func(from int) {
+		rules := make([]asp.Rule, len(chosen))
+		cost := 0
+		for i, ci := range chosen {
+			rules[i] = task.Space[ci].Rule
+			cost += task.Space[ci].Cost
+		}
+		sc := defScore{feasible: true, obj: cost}
+		for _, e := range task.Examples {
+			ok, err := task.Covers(rules, e)
+			if err != nil {
+				t.Fatalf("Task.Covers: %v", err)
+			}
+			switch {
+			case ok:
+				sc.covered++
+			case !opts.Noise || e.Weight <= 0:
+				sc.feasible = false
+			default:
+				sc.obj += e.Weight
+			}
+		}
+		tab.scores[defKey(rules, cost)] = sc
+		if sc.feasible && (!tab.ok || sc.obj < tab.best) {
+			tab.best, tab.ok = sc.obj, true
+		}
+		if len(chosen) == opts.MaxRules {
+			return
+		}
+		for ci := from; ci < len(task.Space); ci++ {
+			chosen = append(chosen, ci)
+			walk(ci + 1)
+			chosen = chosen[:len(chosen)-1]
+		}
+	}
+	walk(0)
+	return tab
+}
+
+// check reports why a learner's answer is not optimal: ErrNoSolution must
+// mean no subset is feasible; otherwise the hypothesis and cost must be a
+// real subset of at most MaxRules candidates, Covered and Total must
+// match Task.Covers, and the objective must be the optimum.
+func (tab *defTable) check(task *Task, opts LearnOptions, res *Result, err error) error {
+	if errors.Is(err, ErrNoSolution) {
+		if tab.ok {
+			return fmt.Errorf("no solution reported, but the optimum objective is %d", tab.best)
+		}
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	sc, real := tab.scores[defKey(res.Hypothesis, res.Cost)]
+	switch {
+	case !real || len(res.Hypothesis) > opts.MaxRules:
+		return fmt.Errorf("%v at cost %d is no subset of at most %d candidates", res.Hypothesis, res.Cost, opts.MaxRules)
+	case res.Covered != sc.covered || res.Total != len(task.Examples):
+		return fmt.Errorf("covered %d/%d, Task.Covers says %d/%d", res.Covered, res.Total, sc.covered, len(task.Examples))
+	case !sc.feasible:
+		return fmt.Errorf("%v leaves a hard example uncovered", res.Hypothesis)
+	case !tab.ok || sc.obj != tab.best:
+		return fmt.Errorf("%v scores %d, the optimum is %d", res.Hypothesis, sc.obj, tab.best)
+	}
+	return nil
+}
+
+// learnResolve is Learn on the re-solve path: coverage comes from the
+// ground-once engine, never from signatures.
+func learnResolve(task *Task, opts LearnOptions) (*Result, error) {
+	o := newTaskOracle(task, task.Space)
+	o.noVectors = true
+	sol, err := Search(o, ExampleWeights(task.Examples), opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Covered: sol.Covered, Total: len(task.Examples), Checks: sol.Checks}
+	for _, ci := range sol.Chosen {
+		res.Hypothesis = append(res.Hypothesis, task.Space[ci].Rule)
+		res.Cost += task.Space[ci].Cost
+	}
+	return res, nil
+}
+
+// singleBase reports whether background ∪ context has exactly one
+// answer set for every example, as LearnIndependent requires.
+func singleBase(t *testing.T, task *Task) bool {
+	t.Helper()
+	for _, e := range task.Examples {
+		p := asp.NewProgram()
+		p.Extend(task.Background)
+		p.Extend(e.Context)
+		models, err := asp.Solve(p, asp.SolveOptions{MaxModels: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(models) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzLearnDefinitional checks both learners against brute force: Learn
+// on the signature path and on the re-solve path, and LearnIndependent
+// on positive-only tasks, must reach the optimum objective with Covered
+// equal to Task.Covers on the returned hypothesis.
+func FuzzLearnDefinitional(f *testing.F) {
+	seeds := [][]byte{
+		{},
+		// Zero-cost hypothesis (h :- a. at cost 0) covering everything.
+		{0, 1, 0, 0, 1, 9, 1, 0},
+		// One example including h twice, covered by h :- a.
+		{0, 1, 0, 1, 1, 9, 0x81, 0},
+		// Costly duplicates of one signature, exact and noisy.
+		{4, 3, 0, 2, 2, 1, 2, 3, 2, 9, 1, 2, 11, 2, 0},
+		{5, 3, 0, 2, 2, 1, 2, 3, 2, 11, 1, 2, 3, 2, 0},
+		// Mixed polarity, repeated inclusion, exclusion derived by the
+		// background.
+		{2, 4, 0, 1, 6, 1, 10, 2, 11, 1, 4, 25, 0x81, 0, 8, 4, 0, 9, 0, 32, 3, 1, 0},
+		// Two-answer-set background (re-solve path only).
+		{0x22, 2, 0, 1, 7, 1, 2, 9, 1, 0, 13, 2, 0},
+		// Background constraint: the example holding c has no answer set.
+		{0x33, 2, 7, 1, 0, 1, 2, 33, 1, 0, 9, 2, 0},
+		// Noisy soft and hard examples with conflicting labels.
+		{7, 3, 0, 1, 1, 1, 6, 2, 3, 11, 1, 2, 9, 0, 1, 15, 1, 0},
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64 {
+			return
+		}
+		task, opts := decodeLearnTask(t, data)
+		tab := bruteForceLearn(t, task, opts)
+		res, err := task.Learn(opts)
+		if e := tab.check(task, opts, res, err); e != nil {
+			t.Fatalf("Learn: %v\ntask: %+v\nopts: %+v", e, task, opts)
+		}
+		res, err = learnResolve(task, opts)
+		if e := tab.check(task, opts, res, err); e != nil {
+			t.Fatalf("Learn (re-solve): %v\ntask: %+v\nopts: %+v", e, task, opts)
+		}
+		for _, e := range task.Examples {
+			if !e.Positive {
+				return
+			}
+		}
+		res, err = task.LearnIndependent(opts)
+		if !singleBase(t, task) {
+			if err == nil || !strings.Contains(err.Error(), "needs exactly 1") {
+				t.Fatalf("LearnIndependent on a base without exactly one answer set: %v, %v", res, err)
+			}
+			return
+		}
+		if e := tab.check(task, opts, res, err); e != nil {
+			t.Fatalf("LearnIndependent: %v\ntask: %+v\nopts: %+v", e, task, opts)
+		}
+	})
+}
+
+// TestLearnCheckerRejectsNonOptimal: the brute-force checker accepts
+// Learn's answer and rejects a costlier covering hypothesis, a wrong
+// Covered count, an understated cost, and a false ErrNoSolution.
+func TestLearnCheckerRejectsNonOptimal(t *testing.T) {
+	task := sigTask(t, 0)
+	opts := LearnOptions{MaxRules: 3}
+	tab := bruteForceLearn(t, task, opts)
+	res, err := task.Learn(opts)
+	if e := tab.check(task, opts, res, err); e != nil {
+		t.Fatalf("checker rejects Learn's answer %v: %v", res, e)
+	}
+	// q(1) :- p(1), p(2) (index 5) instead of q(1) :- p(1) (index 1)
+	// still covers every example, one cost unit above the optimum.
+	costly := &Result{
+		Hypothesis: []asp.Rule{task.Space[5].Rule, task.Space[2].Rule},
+		Cost:       task.Space[5].Cost + task.Space[2].Cost,
+		Covered:    4,
+		Total:      4,
+	}
+	wrongCovered := *res
+	wrongCovered.Covered--
+	cheap := *res
+	cheap.Cost--
+	for name, bad := range map[string]*Result{"costlier": costly, "covered": &wrongCovered, "cost": &cheap} {
+		if tab.check(task, opts, bad, nil) == nil {
+			t.Errorf("checker accepts the %s answer %v", name, bad)
+		}
+	}
+	if tab.check(task, opts, nil, ErrNoSolution) == nil {
+		t.Error("checker accepts ErrNoSolution on a solvable task")
+	}
+}

@@ -1,12 +1,9 @@
 package ilasp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"agenp/internal/asp"
@@ -42,206 +39,55 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkIndependence(t, space); err != nil {
+	v, err := vectorize(t, space, opts.Parallelism, true)
+	if err != nil {
 		return nil, err
 	}
-
 	maxRules := opts.MaxRules
 	if maxRules <= 0 {
 		maxRules = 3
 	}
 
-	// Candidate rules are evaluated |space| × |examples| times; check
-	// safety and reject choice rules once here so the per-example workers
-	// can use the prepared fast path.
-	for _, c := range space {
-		if c.Rule.IsChoice() {
-			return nil, fmt.Errorf("ilasp: evaluating candidate %q: asp: EvalRule does not support choice rules", c.Rule.String())
-		}
-		if err := asp.CheckSafety(c.Rule); err != nil {
-			return nil, fmt.Errorf("ilasp: evaluating candidate %q: %w", c.Rule.String(), err)
-		}
-	}
-
-	checks := 0
-	// Per-example base models and requirement vectors. Requirements (one
-	// per (example, needed inclusion) pair) get global indices assigned in
-	// example order: reqOff[ei] is example ei's first requirement bit.
-	infos := make([]exampleInfo, len(t.Examples))
-	reqOff := make([]int, len(t.Examples)+1)
-	// fireIdx[r] lists the global requirement indices rule r satisfies;
-	// violIdx[r] lists the examples where r derives an excluded atom.
-	// Both become bitset signatures once the total counts are known.
-	fireIdx := make([][]int32, len(space))
-	violIdx := make([][]int32, len(space))
-
-	for ei := range t.Examples {
-		e := &t.Examples[ei]
-		reqOff[ei+1] = reqOff[ei]
-		if !e.Positive {
-			return nil, fmt.Errorf("ilasp: LearnIndependent requires positive examples; express %q via exclusions", e.ID)
-		}
-		prog := asp.NewProgram()
-		if t.Background != nil {
-			prog.Extend(t.Background)
-		}
-		if e.Context != nil {
-			prog.Extend(e.Context)
-		}
-		models, err := asp.Solve(prog, asp.SolveOptions{MaxModels: 2})
-		if err != nil {
-			return nil, fmt.Errorf("ilasp: base model of example %s: %w", e.ID, err)
-		}
-		if len(models) != 1 {
-			return nil, fmt.Errorf("ilasp: example %s background has %d answer sets; LearnIndependent needs exactly 1", e.ID, len(models))
-		}
-		base := models[0]
-
-		info := exampleInfo{feasible: true}
-		for _, a := range e.Exclusions {
-			if base.Contains(a) {
-				info.feasible = false // background itself violates: no H can fix it
-			}
-		}
-		for _, a := range e.Inclusions {
-			if !base.Contains(a) {
-				info.needs = append(info.needs, a)
-			}
-		}
-		infos[ei] = info
-		if !info.feasible {
-			continue
-		}
-		reqOff[ei+1] = reqOff[ei] + len(info.needs)
-
-		// Candidate evaluation is the hot loop (|space| × |examples|
-		// one-step evaluations); shard it across workers over a
-		// predicate-indexed view of the base model. Each worker owns its
-		// Evaluator scratch and writes disjoint rows of fireIdx/violIdx,
-		// so no locking beyond the error slot is needed. Derived atoms
-		// are matched against the example's few needs and exclusions by
-		// structural comparison — no per-atom key strings.
-		ix := asp.NewModelIndex(base)
-		needs := info.needs
-		excl := e.Exclusions
-		workers := opts.Parallelism
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(space) {
-			workers = len(space)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		var (
-			wg      sync.WaitGroup
-			errOnce sync.Once
-			evalErr error
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ev := asp.NewEvaluator()
-				for ri := w; ri < len(space); ri += workers {
-					derived, err := ev.EvalPrepared(ix, space[ri].Rule)
-					if err != nil {
-						errOnce.Do(func() {
-							evalErr = fmt.Errorf("ilasp: evaluating candidate %q: %w", space[ri].Rule.String(), err)
-						})
-						return
-					}
-					for _, d := range derived {
-						for _, x := range excl {
-							if asp.AtomsEqual(d, x) {
-								violIdx[ri] = append(violIdx[ri], int32(ei))
-								break
-							}
-						}
-						for ni := range needs {
-							if asp.AtomsEqual(d, needs[ni]) {
-								fireIdx[ri] = append(fireIdx[ri], int32(reqOff[ei]+ni))
-								break
-							}
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		checks += len(space)
-		if evalErr != nil {
-			return nil, evalErr
-		}
-	}
-
-	// Pack the per-rule verdicts into bitset signatures.
-	nreq := reqOff[len(t.Examples)]
-	fireSig := make([]sigWords, len(space))
-	violSig := make([]sigWords, len(space))
-	for ri := range space {
-		fireSig[ri] = newSig(nreq)
-		for _, q := range fireIdx[ri] {
-			fireSig[ri].set(int(q))
-		}
-		violSig[ri] = newSig(len(t.Examples))
-		for _, ei := range violIdx[ri] {
-			violSig[ri].set(int(ei))
-		}
-	}
-
 	// Candidate pool: rules that help somewhere. Rules deriving no
 	// needed atom can only add cost or violations, so optimal solutions
-	// never include them. Candidates whose signatures duplicate a
-	// cheaper (or equal-cost, earlier) pool member are collapsed away:
-	// in the decomposed set-cover they are interchangeable with their
-	// representative, and the representative's branch is explored first.
+	// never include them. Positive-cost candidates whose signatures
+	// duplicate a cheaper (or equal-cost, earlier) pool member are
+	// collapsed away: in the decomposed set-cover they are
+	// interchangeable with their representative, and the
+	// representative's branch is explored first.
 	var pool []int
 	for ri := range space {
-		if len(fireIdx[ri]) > 0 {
+		if !v.req[ri].empty() {
 			pool = append(pool, ri)
 		}
 	}
 	sort.SliceStable(pool, func(a, b int) bool { return space[pool[a]].Cost < space[pool[b]].Cost })
-	seenSig := make(map[string]struct{}, len(pool))
-	var sigKey []byte
+	skip := collapseClasses(space, pool, v)
 	dedup := pool[:0]
 	for _, ri := range pool {
-		sigKey = sigKey[:0]
-		for _, w := range fireSig[ri] {
-			sigKey = binary.LittleEndian.AppendUint64(sigKey, w)
+		if !skip[ri] {
+			dedup = append(dedup, ri)
 		}
-		sigKey = append(sigKey, '|')
-		for _, w := range violSig[ri] {
-			sigKey = binary.LittleEndian.AppendUint64(sigKey, w)
-		}
-		if _, dup := seenSig[string(sigKey)]; dup {
-			statSigCollapsed.Inc()
-			continue
-		}
-		seenSig[string(sigKey)] = struct{}{}
-		dedup = append(dedup, ri)
 	}
 	pool = dedup
 
-	cv := &indepVectors{
-		examples: t.Examples,
-		infos:    infos,
-		reqOff:   reqOff,
-		nreq:     nreq,
-		fire:     fireSig,
-		viol:     violSig,
-	}
 	var sol []int
 	var covered int
 	if opts.Noise {
-		sol, covered, err = coverNoisy(cv, space, pool, maxRules, opts.MaxCost)
+		sol, covered, err = coverNoisy(v, ExampleWeights(t.Examples), space, pool, maxRules, opts.MaxCost)
 	} else {
-		sol, covered, err = coverHard(cv, space, pool, maxRules, opts.MaxCost)
+		sol, covered, err = coverHard(v, space, pool, maxRules, opts.MaxCost)
 	}
 	if err != nil {
 		return nil, err
+	}
+	// Checks counts one-step evaluations: every candidate against every
+	// feasible example's base model.
+	checks := 0
+	for _, f := range v.feasible {
+		if f {
+			checks += len(space)
+		}
 	}
 	sort.Ints(sol)
 	rules := make([]asp.Rule, len(sol))
@@ -265,13 +111,6 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 		Total:      len(t.Examples),
 		Checks:     checks,
 	}, nil
-}
-
-// exampleInfo captures, per example, whether any hypothesis can cover
-// it and which inclusion atoms the background does not already derive.
-type exampleInfo struct {
-	feasible bool
-	needs    []asp.Atom
 }
 
 // checkIndependence verifies the non-recursiveness condition.
@@ -325,40 +164,27 @@ func checkIndependence(t *Task, space []Candidate) error {
 	return nil
 }
 
-// indepVectors bundles the bitset coverage state LearnIndependent hands
-// to the set-cover searches: one requirement bit per (example, needed
-// inclusion) pair in example order, per-candidate fire signatures over
-// requirement bits, and violation signatures over examples.
-type indepVectors struct {
-	examples []Example
-	infos    []exampleInfo
-	reqOff   []int
-	nreq     int
-	fire     []sigWords
-	viol     []sigWords
-}
-
 // coverHard finds the minimal-cost subset of pool covering every
 // example: all needs derived, no violations.
-func coverHard(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCost int) ([]int, int, error) {
+func coverHard(v *coverVectors, space []Candidate, pool []int, maxRules, maxCost int) ([]int, int, error) {
 	// Hard mode: a rule violating any example is unusable.
 	var usable []int
 	for _, ri := range pool {
-		if cv.viol[ri].empty() {
+		if v.viol[ri].empty() {
 			usable = append(usable, ri)
 		}
 	}
-	for ei := range cv.examples {
-		if !cv.infos[ei].feasible {
+	for _, f := range v.feasible {
+		if !f {
 			return nil, 0, ErrNoSolution
 		}
 	}
 
 	// options[q] = usable rules satisfying requirement bit q.
-	options := make([][]int, cv.nreq)
+	options := make([][]int, v.nreq)
 	for qi := range options {
 		for _, ri := range usable {
-			if cv.fire[ri].get(qi) {
+			if v.req[ri].get(qi) {
 				options[qi] = append(options[qi], ri)
 			}
 		}
@@ -374,8 +200,8 @@ func coverHard(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCos
 	bestCost++ // exclusive bound
 	var best []int
 	chosen := make(map[int]bool)
-	satisfied := make([]bool, cv.nreq)
-	flipped := make([]int, 0, cv.nreq)
+	satisfied := make([]bool, v.nreq)
+	flipped := make([]int, 0, v.nreq)
 
 	var dfs func(cost int)
 	dfs = func(cost int) {
@@ -410,7 +236,7 @@ func coverHard(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCos
 			chosen[ri] = true
 			mark := len(flipped)
 			for qi := range options {
-				if !satisfied[qi] && cv.fire[ri].get(qi) {
+				if !satisfied[qi] && v.req[ri].get(qi) {
 					satisfied[qi] = true
 					flipped = append(flipped, qi)
 				}
@@ -427,7 +253,7 @@ func coverHard(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCos
 	if best == nil {
 		return nil, 0, ErrNoSolution
 	}
-	return best, len(cv.examples), nil
+	return best, v.n, nil
 }
 
 // Example status in the coverNoisy search, tracked per depth.
@@ -447,28 +273,30 @@ const (
 // only the pushed rule's affected examples (inverted fire/viol lists),
 // so the per-node scan reads one byte per example instead of running a
 // word-range allSet over its requirement bits.
-func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCost int) ([]int, int, error) {
+//
+// The search's work — nodes expanded plus example statuses visited — is
+// counted in a local and flushed once into ilasp.independent.noisy_work,
+// a hardware-independent measure a per-node rescan would inflate.
+func coverNoisy(v *coverVectors, weights []int, space []Candidate, pool []int, maxRules, maxCost int) ([]int, int, error) {
 	if maxCost <= 0 {
 		maxCost = 1 << 30
 	}
-	examples := cv.examples
-	infos := cv.infos
-	n := len(examples)
+	n := v.n
 
 	// providers[ei][ni] = pool rules deriving need ni of example ei, in
 	// cost order. fireEx/violEx invert the candidate signatures into
 	// affected-example lists for the incremental status updates.
 	providers := make([][][]int, n)
-	for ei := range examples {
-		providers[ei] = make([][]int, len(infos[ei].needs))
+	for ei := range providers {
+		providers[ei] = make([][]int, v.reqOff[ei+1]-v.reqOff[ei])
 	}
 	fireEx := make([][]int32, len(space))
 	violEx := make([][]int32, len(space))
 	for _, ri := range pool {
-		for ei := range examples {
+		for ei := 0; ei < n; ei++ {
 			fires := false
-			for ni := range infos[ei].needs {
-				if cv.fire[ri].get(cv.reqOff[ei] + ni) {
+			for ni := range providers[ei] {
+				if v.req[ri].get(v.reqOff[ei] + ni) {
 					providers[ei][ni] = append(providers[ei][ni], ri)
 					fires = true
 				}
@@ -476,7 +304,7 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 			if fires {
 				fireEx[ri] = append(fireEx[ri], int32(ei))
 			}
-			if cv.viol[ri].get(ei) {
+			if v.viol[ri].get(ei) {
 				violEx[ri] = append(violEx[ri], int32(ei))
 			}
 		}
@@ -492,6 +320,7 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 	var best []int
 	bestCovered := -1
 	found := false
+	var work int64
 
 	// uReq[d] holds the union fire signature of the first d chosen rules
 	// (needed for first-unmet-need lookup and covered re-checks); a push
@@ -506,19 +335,19 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 	coveredD := make([]int, maxRules+1)
 	hardBrokenD := make([]bool, maxRules+1)
 	for d := 0; d <= maxRules; d++ {
-		uReq[d] = newSig(cv.nreq)
+		uReq[d] = newSig(v.nreq)
 		status[d] = make([]byte, n)
 	}
-	for ei := range examples {
+	for ei := 0; ei < n; ei++ {
 		switch {
-		case !infos[ei].feasible:
+		case !v.feasible[ei]:
 			status[0][ei] = cnBroken
-			if examples[ei].Weight <= 0 {
+			if weights[ei] <= 0 {
 				hardBrokenD[0] = true
 			} else {
-				lostD[0] += examples[ei].Weight
+				lostD[0] += weights[ei]
 			}
-		case uReq[0].allSet(cv.reqOff[ei], cv.reqOff[ei+1]):
+		case uReq[0].allSet(v.reqOff[ei], v.reqOff[ei+1]):
 			status[0][ei] = cnCovered
 			coveredD[0]++
 		}
@@ -528,32 +357,35 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 	// bound on the first pending example: statuses only move
 	// pending→covered/broken and the abandoned set only grows down a
 	// path, so the first pending index is non-decreasing with depth.
-	var dfs func(st *state, from int) error
-	dfs = func(st *state, from int) error {
+	var dfs func(st *state, from int)
+	dfs = func(st *state, from int) {
+		work++
 		d := len(st.chosen)
 		stat := status[d]
 		if hardBrokenD[d] {
-			return nil // hard example broken: infeasible branch
+			return // hard example broken: infeasible branch
 		}
 		// Lower bound: cost plus weights of examples already lost.
 		// Abandoned examples pay their weight whatever their status;
 		// broken ones are already in lostD, the rest adjust here.
 		lost := lostD[d]
 		covered := coveredD[d]
+		work += int64(len(st.abandList))
 		for _, ei := range st.abandList {
 			switch stat[ei] {
 			case cnPending:
-				lost += examples[ei].Weight
+				lost += weights[ei]
 			case cnCovered:
-				lost += examples[ei].Weight
+				lost += weights[ei]
 				covered--
 			}
 		}
 		if st.cost+lost >= bestObj {
-			return nil
+			return
 		}
 		firstPending := -1
 		for ei := from; ei < n; ei++ {
+			work++
 			if stat[ei] == cnPending && !st.abandoned[ei] {
 				firstPending = ei
 				break
@@ -567,13 +399,13 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 				bestCovered = covered
 				found = true
 			}
-			return nil
+			return
 		}
 		// The pending example's first unmet need.
 		req := uReq[d]
 		firstNeed := -1
-		for ni := range infos[firstPending].needs {
-			if !req.get(cv.reqOff[firstPending] + ni) {
+		for ni := range providers[firstPending] {
+			if !req.get(v.reqOff[firstPending] + ni) {
 				firstNeed = ni
 				break
 			}
@@ -588,7 +420,7 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 						break
 					}
 				}
-				if already || cv.viol[ri].get(firstPending) {
+				if already || v.viol[ri].get(firstPending) {
 					continue
 				}
 				c := space[ri].Cost
@@ -596,10 +428,11 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 					continue
 				}
 				copy(uReq[d+1], req)
-				cv.fire[ri].orInto(uReq[d+1])
+				v.req[ri].orInto(uReq[d+1])
 				child := status[d+1]
 				copy(child, stat)
 				lost2, cov2, hard2 := lostD[d], coveredD[d], false
+				work += int64(len(violEx[ri]) + len(fireEx[ri]))
 				for _, ei := range violEx[ri] {
 					if child[ei] == cnBroken {
 						continue
@@ -608,15 +441,15 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 						cov2--
 					}
 					child[ei] = cnBroken // violation trumps coverage
-					if examples[ei].Weight <= 0 {
+					if weights[ei] <= 0 {
 						hard2 = true
 					} else {
-						lost2 += examples[ei].Weight
+						lost2 += weights[ei]
 					}
 				}
 				childReq := uReq[d+1]
 				for _, ei := range fireEx[ri] {
-					if child[ei] == cnPending && childReq.allSet(cv.reqOff[ei], cv.reqOff[ei+1]) {
+					if child[ei] == cnPending && childReq.allSet(v.reqOff[ei], v.reqOff[ei+1]) {
 						child[ei] = cnCovered
 						cov2++
 					}
@@ -624,29 +457,22 @@ func coverNoisy(cv *indepVectors, space []Candidate, pool []int, maxRules, maxCo
 				lostD[d+1], coveredD[d+1], hardBrokenD[d+1] = lost2, cov2, hard2
 				st.chosen = append(st.chosen, ri)
 				st.cost += c
-				if err := dfs(st, firstPending); err != nil {
-					return err
-				}
+				dfs(st, firstPending)
 				st.chosen = st.chosen[:len(st.chosen)-1]
 				st.cost -= c
 			}
 		}
 		// Option 2: abandon the pending example (soft examples only).
-		if examples[firstPending].Weight > 0 {
+		if weights[firstPending] > 0 {
 			st.abandoned[firstPending] = true
 			st.abandList = append(st.abandList, firstPending)
-			if err := dfs(st, firstPending+1); err != nil {
-				return err
-			}
+			dfs(st, firstPending+1)
 			st.abandList = st.abandList[:len(st.abandList)-1]
 			st.abandoned[firstPending] = false
 		}
-		return nil
 	}
-	st := &state{abandoned: make([]bool, n)}
-	if err := dfs(st, 0); err != nil {
-		return nil, 0, err
-	}
+	dfs(&state{abandoned: make([]bool, n)}, 0)
+	statIndependentNoisyWork.Add(work)
 	if !found {
 		return nil, 0, ErrNoSolution
 	}

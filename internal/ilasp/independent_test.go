@@ -2,6 +2,7 @@ package ilasp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"agenp/internal/asp"
@@ -212,19 +213,24 @@ func TestLearnIndependentRejectsConstraintCandidates(t *testing.T) {
 	}
 }
 
+// TestLearnIndependentRejectsNondeterministicBackground: a background
+// with two answer sets, or with none, is rejected.
 func TestLearnIndependentRejectsNondeterministicBackground(t *testing.T) {
-	task := &Task{
-		Background: prog(t, "{a; b}."),
-		Bias: Bias{
-			Head:        []ModeAtom{M("p")},
-			Body:        []ModeAtom{M("a")},
-			MaxBody:     1,
-			RequireBody: true,
-		},
-		Examples: []Example{PosExample("e", []asp.Atom{atom(t, "p")}, nil, nil)},
-	}
-	if _, err := task.LearnIndependent(LearnOptions{}); err == nil {
-		t.Error("nondeterministic background should be rejected")
+	for _, bg := range []string{"{a; b}.", "a :- not a."} {
+		task := &Task{
+			Background: prog(t, bg),
+			Bias: Bias{
+				Head:        []ModeAtom{M("p")},
+				Body:        []ModeAtom{M("a")},
+				MaxBody:     1,
+				RequireBody: true,
+			},
+			Examples: []Example{PosExample("e", []asp.Atom{atom(t, "p")}, nil, nil)},
+		}
+		_, err := task.LearnIndependent(LearnOptions{})
+		if err == nil || !strings.Contains(err.Error(), "needs exactly 1") {
+			t.Errorf("background %q: err = %v, want the needs-exactly-1 rejection", bg, err)
+		}
 	}
 }
 

@@ -25,12 +25,11 @@ var (
 	statFetchChunks = obs.C("ilasp.fetch.chunks")
 	statFetchWall   = obs.C("ilasp.fetch.wall_ns")
 
-	statCacheHits   = obs.C("ilasp.cache.hits")
-	statCacheMisses = obs.C("ilasp.cache.misses")
-
 	statIndependentLearns = obs.C("ilasp.independent.learns")
 	statIndependentChecks = obs.C("ilasp.independent.checks")
 	statIndependentDur    = obs.H("ilasp.independent.duration")
+	// Nodes expanded plus example statuses visited by coverNoisy.
+	statIndependentNoisyWork = obs.C("ilasp.independent.noisy_work")
 
 	// Signature fast path: searches served from per-candidate coverage
 	// bitsets, candidates collapsed into dominance classes before search,

@@ -8,6 +8,7 @@ import (
 	"agenp/internal/apps/datashare"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
+	"agenp/internal/workload"
 )
 
 // datashareTask builds an exhaustive-learnable sharing task: offers are
@@ -49,32 +50,64 @@ func resultsEqual(a, b *ilasp.Result) bool {
 	return true
 }
 
-// TestParallelLearnMatchesSerial runs the exhaustive learner serially and
-// with an 8-wide worker pool on the same datashare task: the hypothesis,
-// cost, coverage, and check count must be byte-identical. Run under
-// -race this also exercises the oracle's concurrency safety.
-func TestParallelLearnMatchesSerial(t *testing.T) {
-	opts := ilasp.LearnOptions{MaxRules: 2}
+// xacmlTask builds an access-control learning task in the shape of the
+// benchmark's learning jobs: an exact job over 80 clean labels, or a
+// noise-tolerant job over 40 labels with 15% injected noise.
+func xacmlTask(noisy bool) *ilasp.Task {
+	schema := workload.DefaultSchema()
+	size, weight := 80, 0
+	if noisy {
+		size, weight = 40, 10
+	}
+	ds := workload.GenXACMLWith(3, size, schema, workload.GroundTruthPolicy())
+	if noisy {
+		workload.InjectNoise(ds, 0.15, 4)
+	}
+	return &ilasp.Task{Bias: workload.AccessBias(schema, nil), Examples: workload.LearningExamples(ds.Examples, weight)}
+}
 
-	opts.Parallelism = 1
-	serial, err := datashareTask(t).Learn(opts)
-	if err != nil {
-		t.Fatalf("serial Learn: %v", err)
+// TestParallelLearnMatchesSerial runs each learner serially and with a
+// wider worker pool on the same task: the hypothesis, cost, coverage,
+// and check count must be byte-identical. The exhaustive learner runs on
+// a datashare task; LearnIndependent, whose signature builder shares the
+// fan-out, on exact and noisy access-control tasks. Run under -race this
+// also exercises the oracle's and the builder's concurrency safety.
+func TestParallelLearnMatchesSerial(t *testing.T) {
+	cases := []struct {
+		name  string
+		task  func(*testing.T) *ilasp.Task
+		learn func(*ilasp.Task, ilasp.LearnOptions) (*ilasp.Result, error)
+		opts  ilasp.LearnOptions
+		par   int
+	}{
+		{"datashare/Learn", datashareTask, (*ilasp.Task).Learn, ilasp.LearnOptions{MaxRules: 2}, 8},
+		{"xacml-exact/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(false) }, (*ilasp.Task).LearnIndependent, ilasp.LearnOptions{MaxRules: 4}, 4},
+		{"xacml-noisy/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(true) }, (*ilasp.Task).LearnIndependent, ilasp.LearnOptions{MaxRules: 4, Noise: true}, 4},
 	}
-	opts.Parallelism = 8
-	parallel, err := datashareTask(t).Learn(opts)
-	if err != nil {
-		t.Fatalf("parallel Learn: %v", err)
-	}
-	if !resultsEqual(serial, parallel) {
-		t.Fatalf("parallel result differs from serial:\nserial:   %v (checks %d)\nparallel: %v (checks %d)",
-			serial, serial.Checks, parallel, parallel.Checks)
-	}
-	if serial.Covered != serial.Total {
-		t.Fatalf("covered %d/%d, want full coverage", serial.Covered, serial.Total)
-	}
-	if len(serial.Hypothesis) == 0 {
-		t.Fatal("expected a non-empty hypothesis")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.Parallelism = 1
+			serial, err := c.learn(c.task(t), opts)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			opts.Parallelism = c.par
+			parallel, err := c.learn(c.task(t), opts)
+			if err != nil {
+				t.Fatalf("parallel: %v", err)
+			}
+			if !resultsEqual(serial, parallel) {
+				t.Fatalf("parallel result differs from serial:\nserial:   %v (checks %d)\nparallel: %v (checks %d)",
+					serial, serial.Checks, parallel, parallel.Checks)
+			}
+			if !opts.Noise && serial.Covered != serial.Total {
+				t.Fatalf("covered %d/%d, want full coverage", serial.Covered, serial.Total)
+			}
+			if len(serial.Hypothesis) == 0 {
+				t.Fatal("expected a non-empty hypothesis")
+			}
+		})
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 //
 // Covers must be safe for concurrent calls with distinct example indices
 // (the search fans coverage checks out across a worker pool); it is never
-// called concurrently for the same index.
+// called concurrently for the same index. A search asks each (hypothesis,
+// example) verdict at most once, so oracles need no verdict memo.
 type Oracle interface {
 	// Candidates returns the hypothesis space.
 	Candidates() []Candidate
@@ -34,18 +35,11 @@ type Oracle interface {
 type Solution struct {
 	// Chosen lists indices into the oracle's candidate space.
 	Chosen []int
-	// Classes, when the search ran on coverage signatures, lists for each
-	// chosen candidate its dominance equivalence class: every candidate
-	// index with an identical coverage signature (the chosen one
-	// included), cheapest first. Swapping a chosen candidate for any
-	// same-cost member of its class yields an equally optimal hypothesis.
-	// Nil when the oracle was not vectorizable.
-	Classes [][]int
 	// Covered counts covered examples.
 	Covered int
-	// Checks counts coverage queries the search issued. Memoized oracles
-	// may answer some from cache; the count is of logical queries, so it
-	// is identical for serial and parallel runs.
+	// Checks counts coverage queries the search issued. The count is of
+	// logical queries (a signature-served search answers them without
+	// the oracle), so it is identical for serial and parallel runs.
 	//
 	// Deprecated: Checks is kept for compatibility; it is backed by the
 	// obs counter "ilasp.search.checks" (the checker counts once and
@@ -108,14 +102,12 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	// noisy search skip subsumed branches. Verdict replay stays in
 	// example order, so the solution, check count, and budgeting are
 	// byte-identical to the re-solve path.
-	var classes [][]int
-	var classOf []int
 	var skip []bool
 	if so, ok := o.(sigOracle); ok {
-		if vec := so.signatures(); vec != nil && vec.n == len(weights) {
+		if vec := so.signatures(opts.Parallelism); vec != nil && vec.n == len(weights) {
 			c.vec = vec
 			c.uLevels = make([]unionSig, maxRules+1)
-			classes, classOf, skip = collapseClasses(cands, order, vec)
+			skip = collapseClasses(cands, order, vec)
 			statSigSearches.Inc()
 		}
 	}
@@ -133,12 +125,6 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 		return nil, err
 	}
 	sol.Checks = c.checks
-	if classes != nil {
-		sol.Classes = make([][]int, len(sol.Chosen))
-		for k, ci := range sol.Chosen {
-			sol.Classes[k] = append([]int(nil), classes[classOf[ci]]...)
-		}
-	}
 	if obs.TracingEnabled() {
 		sp.SetAttr("candidates", strconv.Itoa(len(cands)))
 		sp.SetAttr("hypotheses", strconv.FormatInt(c.hyps, 10))
@@ -247,58 +233,57 @@ func (c *checker) timedCovers(chosen []int, i int) (bool, error) {
 	return ok, err
 }
 
-// checkAll verifies coverage of every example, aborting at the first
-// failure. It returns (covered count, all covered).
-func (c *checker) checkAll(chosen []int) (int, bool, error) {
+// replay evaluates the hypothesis on every example in order. Verdicts
+// come from the signature union on the signature path, else from
+// chunked oracle fetches; either way they are consumed here, in example
+// order, so the check count, MaxChecks budget, first error, hard-example
+// abort, and penalty cutoff are one code path and equal to a serial
+// run's. weights nil makes every example hard. ok reports that the
+// replay ran to the end: false when a hard example is uncovered or
+// cost+penalty reached bound.
+func (c *checker) replay(chosen, weights []int, cost, bound int) (covered, penalty int, ok bool, err error) {
 	c.hyps++
+	var u *unionSig
 	if c.vec != nil {
-		return c.checkAllBits(chosen)
+		// The union stays in uLevels[len(chosen)] for the noisy search's
+		// subsumption checks.
+		u = &c.uLevels[len(chosen)]
+		c.vec.unionInto(u, chosen)
 	}
-	covered := 0
 	for lo := 0; lo < c.n; lo += c.par {
-		hi := lo + c.par
-		if hi > c.n {
-			hi = c.n
+		hi := min(lo+c.par, c.n)
+		if u == nil {
+			c.fetch(chosen, lo, hi)
 		}
-		c.fetch(chosen, lo, hi)
 		for i := lo; i < hi; i++ {
 			c.checks++
 			if c.maxChecks > 0 && c.checks > c.maxChecks {
 				c.cancel()
-				return covered, false, ErrCheckBudget
+				return covered, penalty, false, ErrCheckBudget
 			}
-			if err := c.errs[i]; err != nil {
+			var yes bool
+			if u != nil {
+				yes = c.vec.covered(u, i)
+			} else if err := c.errs[i]; err != nil {
 				c.cancel()
-				return covered, false, err
+				return covered, penalty, false, err
+			} else {
+				yes = c.oks[i]
 			}
-			if !c.oks[i] {
-				return covered, false, nil
+			if yes {
+				covered++
+				continue
 			}
-			covered++
+			if weights == nil || weights[i] <= 0 {
+				return covered, penalty, false, nil // hard example uncovered
+			}
+			penalty += weights[i]
+			if cost+penalty >= bound {
+				return covered, penalty, false, nil
+			}
 		}
 	}
-	return covered, true, nil
-}
-
-// checkAllBits is checkAll on the signature path: one union over the
-// chosen signatures, then a per-example verdict replay in example order
-// with the same counting and budget semantics as the oracle path.
-func (c *checker) checkAllBits(chosen []int) (int, bool, error) {
-	u := &c.uLevels[len(chosen)]
-	c.vec.unionInto(u, chosen)
-	covered := 0
-	for i := 0; i < c.n; i++ {
-		c.checks++
-		if c.maxChecks > 0 && c.checks > c.maxChecks {
-			c.cancel()
-			return covered, false, ErrCheckBudget
-		}
-		if !c.vec.covered(u, i) {
-			return covered, false, nil
-		}
-		covered++
-	}
-	return covered, true, nil
+	return covered, penalty, true, nil
 }
 
 func searchHard(c *checker, cands []Candidate, order []int, maxRules, maxCost int, skip []bool) (*Solution, error) {
@@ -310,14 +295,18 @@ func searchHard(c *checker, cands []Candidate, order []int, maxRules, maxCost in
 				return nil
 			}
 			if remaining == 0 {
-				covered, ok, err := c.checkAll(chosen)
+				covered, _, ok, err := c.replay(chosen, nil, 0, 0)
 				if err != nil {
 					return err
 				}
 				if ok {
 					found = &Solution{Chosen: append([]int(nil), chosen...), Covered: covered}
 				}
-				return nil
+				// Only zero-cost candidates, first in cost order, extend a
+				// hypothesis without leaving the target.
+				if ok || pos == len(order) || cands[order[pos]].Cost > 0 {
+					return nil
+				}
 			}
 			if rules == 0 {
 				return nil
@@ -362,70 +351,13 @@ func searchNoisy(c *checker, cands []Candidate, weights []int, order []int, maxR
 			c.pruned++
 			return nil
 		}
-		c.hyps++
-		covered := 0
-		penalty := 0
-		if c.vec != nil {
-			// Signature path: one union, then verdict replay in example
-			// order with identical counting, penalty cutoff, and budget
-			// semantics. The union stays in uLevels[len(chosen)] for the
-			// caller's subsumption checks.
-			u := &c.uLevels[len(chosen)]
-			c.vec.unionInto(u, chosen)
-			for i := 0; i < c.n; i++ {
-				c.checks++
-				if c.maxChecks > 0 && c.checks > c.maxChecks {
-					c.cancel()
-					return ErrCheckBudget
-				}
-				if c.vec.covered(u, i) {
-					covered++
-					continue
-				}
-				if weights[i] <= 0 {
-					return nil // hard example uncovered: infeasible
-				}
-				penalty += weights[i]
-				if cost+penalty >= bestObj {
-					return nil
-				}
-			}
-		} else {
-			for lo := 0; lo < c.n; lo += c.par {
-				hi := lo + c.par
-				if hi > c.n {
-					hi = c.n
-				}
-				c.fetch(chosen, lo, hi)
-				for i := lo; i < hi; i++ {
-					c.checks++
-					if c.maxChecks > 0 && c.checks > c.maxChecks {
-						c.cancel()
-						return ErrCheckBudget
-					}
-					if err := c.errs[i]; err != nil {
-						c.cancel()
-						return err
-					}
-					if c.oks[i] {
-						covered++
-						continue
-					}
-					if weights[i] <= 0 {
-						return nil // hard example uncovered: infeasible
-					}
-					penalty += weights[i]
-					if cost+penalty >= bestObj {
-						return nil
-					}
-				}
-			}
+		covered, penalty, ok, err := c.replay(chosen, weights, cost, bestObj)
+		if !ok {
+			return err
 		}
-		obj := cost + penalty
-		if obj < bestObj {
-			bestObj = obj
-			best = &Solution{Chosen: append([]int(nil), chosen...), Covered: covered}
-		}
+		// A full replay implies cost+penalty < bestObj.
+		bestObj = cost + penalty
+		best = &Solution{Chosen: append([]int(nil), chosen...), Covered: covered}
 		return nil
 	}
 

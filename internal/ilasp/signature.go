@@ -2,6 +2,7 @@ package ilasp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -22,10 +23,11 @@ import (
 // base is feasible for e, no chosen candidate violates e, and the OR of
 // the chosen req signatures covers e's requirement range. Coverage is
 // the witness bit for positive examples and its negation for negative
-// ones. checkAll then becomes word-wide OR/AND over []uint64 instead of
-// a ground-and-solve per (hypothesis, example) pair, with verdicts
-// replayed in example order so check counting, MaxChecks budgeting, and
-// the chosen solution stay byte-identical to the re-solve path.
+// ones. A coverage check then becomes word-wide OR/AND over []uint64
+// instead of a ground-and-solve per (hypothesis, example) pair, with
+// verdicts replayed in example order so check counting, MaxChecks
+// budgeting, and the chosen solution stay byte-identical to the re-solve
+// path. LearnIndependent's set-cover searches read the same signatures.
 
 // sigWords is a little-endian bitset.
 type sigWords []uint64
@@ -157,29 +159,42 @@ func (v *coverVectors) subsumed(ci int, u *unionSig) bool {
 }
 
 // sigOracle is implemented by oracles that can express per-candidate
-// coverage as precomputed signatures. signatures returns nil when the
-// task is not vectorizable (or vectorization is disabled), in which
-// case the search falls back to per-hypothesis oracle checks.
+// coverage as precomputed signatures, built on par workers. signatures
+// returns nil when the task is not vectorizable (or vectorization is
+// disabled), in which case the search falls back to per-hypothesis
+// oracle checks.
 type sigOracle interface {
-	signatures() *coverVectors
+	signatures(par int) *coverVectors
 }
 
-// vectorize computes coverage signatures for a task, or nil when the
-// task does not decompose: candidates must be headed, safe, non-choice
-// rules whose head predicates feed nothing (checkIndependence), and
-// background ∪ context must have at most one answer set per example
-// (zero models make the example infeasible but stay vectorizable).
+// vectorize is the one signature builder of both learners: it computes
+// coverage signatures for a task, or returns why the task does not
+// decompose. Candidates must be headed, safe, non-choice rules whose head
+// predicates feed nothing (checkIndependence), and background ∪ context
+// must have at most one answer set per example (zero models make the
+// example infeasible but stay vectorizable).
 //
-// Any error — unsafe candidate, solver failure, arithmetic error during
-// evaluation — returns nil rather than surfacing: the fallback re-solve
-// path then reproduces the engine's lazy error behaviour exactly.
-func vectorize(t *Task, space []Candidate) *coverVectors {
-	if checkIndependence(t, space) != nil {
-		return nil
+// strict applies LearnIndependent's contract on top: every example is
+// positive and has exactly one base answer set. Errors come out in the
+// order an example-by-example build would meet them: the first failing
+// example's base-model error, unless a candidate evaluation fails on an
+// earlier example (then the first such candidate's error). Search
+// discards the error and falls back to the re-solve path, which then
+// reproduces the engine's lazy error behaviour exactly.
+//
+// Evaluation fans out once, on par workers (GOMAXPROCS when 0), sharded
+// by candidate so each worker owns disjoint signature rows and its own
+// Evaluator scratch; the signatures do not depend on par.
+func vectorize(t *Task, space []Candidate, par int, strict bool) (*coverVectors, error) {
+	if err := checkIndependence(t, space); err != nil {
+		return nil, err
 	}
 	for _, c := range space {
-		if c.Rule.IsChoice() || asp.CheckSafety(c.Rule) != nil {
-			return nil
+		if c.Rule.IsChoice() {
+			return nil, fmt.Errorf("ilasp: evaluating candidate %q: asp: EvalRule does not support choice rules", c.Rule.String())
+		}
+		if err := asp.CheckSafety(c.Rule); err != nil {
+			return nil, fmt.Errorf("ilasp: evaluating candidate %q: %w", c.Rule.String(), err)
 		}
 	}
 
@@ -194,9 +209,16 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 		excl  []asp.Atom
 	}
 	states := make([]exState, v.n)
+	// stop is the first example that fails the contract; strict builds
+	// still evaluate the examples before it, whose errors come first.
+	stop, stopErr := v.n, error(nil)
 	for ei, e := range t.Examples {
 		v.positive[ei] = e.Positive
 		v.reqOff[ei+1] = v.reqOff[ei]
+		if strict && !e.Positive {
+			stop, stopErr = ei, fmt.Errorf("ilasp: LearnIndependent requires positive examples; express %q via exclusions", e.ID)
+			break
+		}
 		prog := asp.NewProgram()
 		if t.Background != nil {
 			prog.Extend(t.Background)
@@ -205,8 +227,13 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 			prog.Extend(e.Context)
 		}
 		models, err := asp.Solve(prog, asp.SolveOptions{MaxModels: 2})
-		if err != nil || len(models) > 1 {
-			return nil
+		if err != nil {
+			stop, stopErr = ei, fmt.Errorf("ilasp: base model of example %s: %w", e.ID, err)
+			break
+		}
+		if len(models) > 1 || strict && len(models) == 0 {
+			stop, stopErr = ei, fmt.Errorf("ilasp: example %s background has %d answer sets; LearnIndependent needs exactly 1", e.ID, len(models))
+			break
 		}
 		if len(models) == 0 {
 			continue // infeasible: no H yields a witness
@@ -232,7 +259,10 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 		states[ei] = exState{ix: asp.NewModelIndex(base), needs: needs, excl: e.Exclusions}
 		v.reqOff[ei+1] = v.reqOff[ei] + len(needs)
 	}
-	v.nreq = v.reqOff[v.n]
+	if stopErr != nil && !strict {
+		return nil, stopErr
+	}
+	v.nreq = v.reqOff[stop]
 
 	v.req = make([]sigWords, len(space))
 	v.viol = make([]sigWords, len(space))
@@ -241,36 +271,37 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 		v.viol[ri] = newSig(v.n)
 	}
 
-	// One-step evaluation of every candidate against every feasible
-	// example's base model, sharded by candidate so each worker owns
-	// disjoint signature rows and its own Evaluator scratch.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(space) {
-		workers = len(space)
+	workers := par
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
+	workers = max(min(workers, len(space)), 1)
+	// fails[w] is worker w's earliest failure in (example, candidate)
+	// order: after a failure a worker only evaluates earlier examples, so
+	// the minimum over workers is the error a serial build meets first.
+	type evalFail struct {
+		ei  int
+		err error
 	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		failed  bool
-	)
+	fails := make([]evalFail, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ev := asp.NewEvaluator()
+			limit := stop
 			for ri := w; ri < len(space); ri += workers {
-				for ei := range states {
+				for ei := 0; ei < limit; ei++ {
 					st := &states[ei]
 					if st.ix == nil {
 						continue
 					}
 					derived, err := ev.EvalPrepared(st.ix, space[ri].Rule)
 					if err != nil {
-						errOnce.Do(func() { failed = true })
-						return
+						fails[w] = evalFail{ei, fmt.Errorf("ilasp: evaluating candidate %q: %w", space[ri].Rule.String(), err)}
+						limit = ei
+						break
 					}
 					for _, d := range derived {
 						for _, x := range st.excl {
@@ -279,10 +310,9 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 								break
 							}
 						}
-						for ni := range st.needs {
+						for ni := range st.needs { // an inclusion may repeat
 							if asp.AtomsEqual(d, st.needs[ni]) {
 								v.req[ri].set(v.reqOff[ei] + ni)
-								break
 							}
 						}
 					}
@@ -291,26 +321,31 @@ func vectorize(t *Task, space []Candidate) *coverVectors {
 		}(w)
 	}
 	wg.Wait()
-	if failed {
-		return nil
+	first := evalFail{ei: stop, err: stopErr}
+	for _, f := range fails {
+		if f.err != nil && f.ei < first.ei {
+			first = f
+		}
 	}
-	return v
+	if first.err != nil {
+		return nil, first.err
+	}
+	return v, nil
 }
 
 // collapseClasses groups candidates with identical signature pairs into
 // dominance equivalence classes. Candidates are visited in the search's
 // cost-stable order, so the first member of each class — its
 // representative — is the cheapest (ties by candidate order, matching
-// the branch the search would pick first anyway). skip marks every
+// the branch the search would pick first anyway). The result marks every
 // non-representative with positive cost: interchangeable with its
 // representative in any hypothesis at no lower cost, so dropping it
 // cannot change the first optimal solution the search finds. Zero-cost
 // duplicates are kept — under iterative deepening on exact cost they
 // can pad a hypothesis to hit a target cost.
-func collapseClasses(cands []Candidate, order []int, v *coverVectors) (classes [][]int, classOf []int, skip []bool) {
-	classOf = make([]int, len(cands))
+func collapseClasses(cands []Candidate, order []int, v *coverVectors) (skip []bool) {
 	skip = make([]bool, len(cands))
-	byKey := make(map[string]int, len(cands))
+	seen := make(map[string]struct{}, len(order))
 	var key []byte
 	collapsed := 0
 	for _, ci := range order {
@@ -322,19 +357,13 @@ func collapseClasses(cands []Candidate, order []int, v *coverVectors) (classes [
 		for _, w := range v.viol[ci] {
 			key = binary.LittleEndian.AppendUint64(key, w)
 		}
-		id, dup := byKey[string(key)]
-		if !dup {
-			id = len(classes)
-			byKey[string(key)] = id
-			classes = append(classes, nil)
-		}
-		classOf[ci] = id
-		classes[id] = append(classes[id], ci)
-		if dup && cands[ci].Cost > 0 {
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
+		} else if cands[ci].Cost > 0 {
 			skip[ci] = true
 			collapsed++
 		}
 	}
 	statSigCollapsed.Add(int64(collapsed))
-	return classes, classOf, skip
+	return skip
 }

@@ -3,7 +3,6 @@ package ilasp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"agenp/internal/asp"
 )
@@ -133,7 +132,9 @@ type Result struct {
 	// Covered counts covered examples; Total counts all examples.
 	Covered, Total int
 	// Checks counts coverage checks performed during search (stats for
-	// the paper's scalability discussion).
+	// the paper's scalability discussion). LearnIndependent counts its
+	// one-step candidate evaluations instead: every candidate against
+	// every feasible example's base model.
 	Checks int
 }
 
@@ -164,11 +165,13 @@ type LearnOptions struct {
 	// cost + penalty. Without Noise, every example is hard.
 	Noise bool
 	// MaxChecks aborts after this many coverage checks (0 = unlimited);
-	// guards the paper's real-time requirement.
+	// guards the paper's real-time requirement. LearnIndependent ignores
+	// it: its searches issue no coverage checks.
 	MaxChecks int
-	// Parallelism bounds the coverage-check worker pool (0 = GOMAXPROCS,
-	// 1 = serial). Results are independent of the setting: parallel runs
-	// return the same hypothesis, cost, and check count as serial ones.
+	// Parallelism bounds the coverage-check worker pool and the
+	// signature builder's workers (0 = GOMAXPROCS, 1 = serial). Results
+	// are independent of the setting: parallel runs return the same
+	// hypothesis, cost, and check count as serial ones.
 	Parallelism int
 }
 
@@ -212,8 +215,9 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 }
 
 // taskOracle adapts a Task to the generic search engine: a ground-once
-// coverage engine behind a memo of (hypothesis, example) verdicts. Safe
-// for the search's concurrent Covers calls (distinct example indices).
+// coverage engine, safe for the search's concurrent Covers calls
+// (distinct example indices). There is no verdict memo: a search checks
+// each hypothesis at most once, and every Learn builds a fresh oracle.
 //
 // When the task is vectorizable (see vectorize), the oracle also serves
 // the search per-candidate coverage signatures; the search then never
@@ -225,100 +229,27 @@ type taskOracle struct {
 
 	// noVectors forces the re-solve path; differential-test knob.
 	noVectors bool
-	vecOnce   sync.Once
 	vec       *coverVectors
-
-	// cache memoizes verdict rows by a hash of the chosen index set,
-	// with collision buckets compared on the actual indices — no string
-	// key allocation per query.
-	mu    sync.Mutex
-	cache map[uint64][]hypEntry
-}
-
-// hypEntry is one memoized hypothesis: its chosen indices and the
-// per-example verdict row (0 unknown, 1 covered, -1 uncovered).
-type hypEntry struct {
-	chosen []int
-	row    []int8
 }
 
 var _ Oracle = (*taskOracle)(nil)
 var _ sigOracle = (*taskOracle)(nil)
 
 func newTaskOracle(t *Task, space []Candidate) *taskOracle {
-	return &taskOracle{
-		task:   t,
-		space:  space,
-		engine: newCoverageEngine(t, space),
-		cache:  make(map[uint64][]hypEntry),
-	}
+	return &taskOracle{task: t, space: space, engine: newCoverageEngine(t, space)}
 }
 
 func (o *taskOracle) Candidates() []Candidate { return o.space }
 
-// signatures vectorizes the task once; nil (permanent fallback to
-// Covers) when the task does not decompose.
-func (o *taskOracle) signatures() *coverVectors {
-	if o.noVectors {
-		return nil
+// signatures vectorizes the task; nil (fall back to Covers) when the
+// task does not decompose.
+func (o *taskOracle) signatures(par int) *coverVectors {
+	if !o.noVectors {
+		o.vec, _ = vectorize(o.task, o.space, par, false)
 	}
-	o.vecOnce.Do(func() { o.vec = vectorize(o.task, o.space) })
 	return o.vec
 }
 
 func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
-	h := hypHash(chosen)
-	o.mu.Lock()
-	var row []int8
-	for _, e := range o.cache[h] {
-		if intsEqual(e.chosen, chosen) {
-			row = e.row
-			break
-		}
-	}
-	if row == nil {
-		row = make([]int8, len(o.task.Examples))
-		o.cache[h] = append(o.cache[h], hypEntry{chosen: append([]int(nil), chosen...), row: row})
-	}
-	v := row[exampleIdx]
-	o.mu.Unlock()
-	if v != 0 {
-		statCacheHits.Inc()
-		return v == 1, nil
-	}
-	statCacheMisses.Inc()
-	ok, err := o.engine.covers(chosen, exampleIdx)
-	if err != nil {
-		return false, err
-	}
-	o.mu.Lock()
-	if ok {
-		row[exampleIdx] = 1
-	} else {
-		row[exampleIdx] = -1
-	}
-	o.mu.Unlock()
-	return ok, nil
-}
-
-// hypHash is FNV-1a over the chosen candidate indices.
-func hypHash(chosen []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range chosen {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return o.engine.covers(chosen, exampleIdx)
 }

@@ -7,11 +7,11 @@ import (
 	"agenp/internal/apps/cav"
 	"agenp/internal/experiments"
 	"agenp/internal/ilasp"
+	"agenp/internal/obs"
 )
 
 // TestLearningAllocGuard is the CI regression gate for the learning hot
-// path (set AGENP_BENCH_GUARD=1 to run). It holds the two budgets the
-// bitset-signature rework bought:
+// path (set AGENP_BENCH_GUARD=1 to run). It holds three budgets:
 //
 //   - E3 (clean learning, quick mode) must stay under 90k allocs/op —
 //     the level after per-candidate coverage bitsets, per-worker
@@ -22,12 +22,14 @@ import (
 //   - One coverage check (ground-and-solve of background ∪ hypothesis ∪
 //     context on a 20-scenario CAV task) must stay under 150 µs/op,
 //     guarding the grounder/solver scratch reuse.
-//   - E6 (noisy learning, quick mode) must stay under 60 ms/op — the
-//     level after the CDNL solving core plus the per-depth
-//     status-byte coverNoisy rework (BENCH_5 recorded 89 ms, the PR's
-//     target was ≤44.5 ms steady-state; 60 ms leaves headroom for a
-//     cold cache while still catching a fallback to the quadratic
-//     per-node example rescan).
+//   - One E6 run (noisy learning, quick mode) must do at most 2,300,000
+//     units of noise-tolerant search work (ilasp.independent.noisy_work:
+//     coverNoisy nodes expanded plus example statuses visited). The
+//     count is deterministic and independent of hardware and
+//     parallelism: the per-depth status-byte coverNoisy did 2,089,359
+//     when the budget was set (about 10% headroom), and the same search
+//     with the per-node full example rescan restored does 7,836,028, so
+//     that fallback breaks the budget rather than nudging it.
 func TestLearningAllocGuard(t *testing.T) {
 	if os.Getenv("AGENP_BENCH_GUARD") == "" {
 		t.Skip("set AGENP_BENCH_GUARD=1 to run the allocation guard")
@@ -46,16 +48,15 @@ func TestLearningAllocGuard(t *testing.T) {
 		t.Errorf("E3 allocates %d/op, above the 90k budget", e3.AllocsPerOp())
 	}
 
-	e6 := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Run("E6", experiments.Options{Quick: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	t.Logf("E6 quick: %d ns/op", e6.NsPerOp())
-	if e6.NsPerOp() > 60_000_000 {
-		t.Errorf("E6 takes %d ns/op, above the 60 ms budget", e6.NsPerOp())
+	work := obs.C("ilasp.independent.noisy_work")
+	before := work.Value()
+	if _, err := experiments.Run("E6", experiments.Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	n := work.Value() - before
+	t.Logf("E6 quick: %d units of noisy search work", n)
+	if n > 2_300_000 {
+		t.Errorf("E6 does %d units of noisy search work, above the 2,300,000 budget", n)
 	}
 
 	scenarios := cav.Generate(1, 20)
