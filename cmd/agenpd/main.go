@@ -240,6 +240,19 @@ func main() {
 	}
 }
 
+// headerTimeout bounds how long the telemetry server waits for a
+// client to finish its request header.
+const headerTimeout = 5 * time.Second
+
+// newServer builds the telemetry server: a client that stalls before
+// finishing its request header is disconnected after readHeader, and an
+// idle keep-alive connection after two minutes. There is no write
+// timeout, because /debug/pprof/profile streams for 30 s, and no body
+// limit, because no handler reads a request body.
+func newServer(h http.Handler, readHeader time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: 2 * time.Minute}
+}
+
 // publishOnce guards the expvar registration: expvar.Publish panics on a
 // duplicate name, and tests call run more than once per process.
 var publishOnce sync.Once
@@ -288,7 +301,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		srv := &http.Server{Handler: mux}
+		srv := newServer(mux, headerTimeout)
 		go func() { _ = srv.Serve(ln) }()
 		defer func() { _ = srv.Close() }()
 		fmt.Fprintf(stdout, "metrics listening on http://%s/metrics\n", ln.Addr())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -491,5 +492,34 @@ func TestDecideEndpoint(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not exit after cancel")
+	}
+}
+
+// TestStalledHeaderDisconnected: the telemetry server drops a client that
+// sends part of a request header and then stalls.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler(), 100*time.Millisecond)
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: agenpd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The server must close the connection well before this deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
 	}
 }

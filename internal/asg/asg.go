@@ -217,6 +217,20 @@ func localizeRule(r asp.Rule, tr cfg.Trace) asp.Rule {
 	return out
 }
 
+// Localize returns the instances rule r contributes to G[PT] when it
+// annotates production prodID: r localized at every node of t that
+// applies the production, in walk order.
+func Localize(r asp.Rule, prodID int, t *cfg.Tree) []asp.Rule {
+	var out []asp.Rule
+	t.Walk(func(node *cfg.Tree, tr cfg.Trace) bool {
+		if node.Prod != nil && node.Prod.ID == prodID {
+			out = append(out, localizeRule(r, tr))
+		}
+		return true
+	})
+	return out
+}
+
 // TreeProgram builds G[PT]: the union over all interior nodes n (with
 // trace t and production p) of the annotation of p localized at t.
 // Terminal leaves contribute nothing.

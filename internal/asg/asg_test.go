@@ -141,6 +141,53 @@ s -> ε { size(0). }
 	}
 }
 
+// TestLocalizeMatchesTreeProgram: the instances Localize returns are the
+// rules that adding the rule to its production adds to G[PT], one per
+// node applying the production.
+func TestLocalizeMatchesTreeProgram(t *testing.T) {
+	g := mustASG(t, anbncn)
+	tree, err := g.CFG.Parse(toks("a a b b c c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := asp.ParseAnnotated(":- size(X)@2, X > 0, not odd.", AnnotationHook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := HypothesisRule{Rule: r.Rules[0], ProdID: 1} // as -> "a" as
+	base, err := g.TreeProgram(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gh, err := g.WithHypothesis([]HypothesisRule{h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := gh.TreeProgram(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := map[string]int{}
+	for _, r := range full.Rules {
+		added[r.String()]++
+	}
+	for _, r := range base.Rules {
+		added[r.String()]--
+	}
+	inst := Localize(h.Rule, h.ProdID, tree)
+	if len(inst) != 2 {
+		t.Fatalf("Localize returned %d instances, want 2 (two nodes apply the production)", len(inst))
+	}
+	for _, r := range inst {
+		added[r.String()]--
+	}
+	for rule, n := range added {
+		if n != 0 {
+			t.Errorf("rule %s: %+d between G:H[PT] and G[PT] ∪ Localize", rule, n)
+		}
+	}
+}
+
 func TestDelocalizeAtom(t *testing.T) {
 	a := asp.NewAtom("size@r_2", asp.Integer{Value: 1})
 	plain, key := DelocalizeAtom(a)

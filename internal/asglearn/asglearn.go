@@ -16,6 +16,7 @@ import (
 
 	"agenp/internal/asg"
 	"agenp/internal/asp"
+	"agenp/internal/cfg"
 	"agenp/internal/ilasp"
 )
 
@@ -78,7 +79,9 @@ type Result struct {
 	// Grammar is the learned ASG (G : H).
 	Grammar *asg.Grammar
 	// Cost is the hypothesis cost; Covered/Total count examples; Checks
-	// counts membership checks performed.
+	// counts the membership verdicts the search replayed, which come from
+	// coverage signatures rather than parse-and-solve calls whenever the
+	// task decomposes (see asgOracle).
 	Cost, Covered, Total, Checks int
 }
 
@@ -128,12 +131,26 @@ func (t *Task) Learn(opts ilasp.LearnOptions) (*Result, error) {
 // for the search's concurrent calls: membership checks build fresh
 // grammars per call. There is no verdict memo: a search checks each
 // hypothesis at most once, and every Learn builds a fresh oracle.
+//
+// It is also the task's Decomposer. Constraints only remove answer sets,
+// so when every candidate is a constraint, example i has one parse tree
+// T under MaxParseTrees, and the base program (G(C))[T] has one answer
+// set M, H accepts the string iff no chosen constraint, localized at the
+// nodes of T that apply its production, fires in M; with no answer set,
+// or no parse tree, no H accepts it. The search then answers every
+// membership check from signatures built with one parse and one solve
+// per example (vectorize declines bases with several answer sets).
 type asgOracle struct {
 	task  *Task
 	cands []ilasp.Candidate
+
+	// trees[i] is example i's one parse tree, nil when the string does
+	// not parse. Set by Decompose.
+	trees []*cfg.Tree
 }
 
 var _ ilasp.Oracle = (*asgOracle)(nil)
+var _ ilasp.Decomposer = (*asgOracle)(nil)
 
 func (o *asgOracle) Candidates() []ilasp.Candidate {
 	if o.cands == nil {
@@ -151,6 +168,49 @@ func (o *asgOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 		h[i] = o.task.Space[ci]
 	}
 	return o.task.Covers(h, o.task.Examples[exampleIdx])
+}
+
+// Decompose parses every example once; its base program is (G(C))[T]
+// for its parse tree T. It declines — and the search re-solves per
+// hypothesis, with Covers' lazy errors — when a candidate is headed or a
+// choice rule, when WithHypothesis rejects a candidate, or when an
+// example has more than one parse tree.
+func (o *asgOracle) Decompose() ([]ilasp.Example, []*asp.Program, error) {
+	t := o.task
+	for _, h := range t.Space {
+		if h.Rule.Head != nil || h.Rule.IsChoice() {
+			return nil, nil, fmt.Errorf("asglearn: candidate %s is not a constraint", h)
+		}
+	}
+	if _, err := t.Initial.WithHypothesis(t.Space); err != nil {
+		return nil, nil, err
+	}
+	examples := make([]ilasp.Example, len(t.Examples))
+	bases := make([]*asp.Program, len(t.Examples))
+	o.trees = make([]*cfg.Tree, len(t.Examples))
+	for i, e := range t.Examples {
+		examples[i] = ilasp.Example{ID: e.ID, Positive: e.Positive}
+		trees := t.Initial.CFG.ParseAll(e.Tokens, cfg.ParseOptions{MaxTrees: t.MaxParseTrees})
+		if len(trees) > 1 {
+			return nil, nil, fmt.Errorf("asglearn: example %s has %d parse trees", e.ID, len(trees))
+		}
+		if len(trees) == 0 {
+			continue // no hypothesis accepts the string
+		}
+		base, err := t.Initial.WithContext(e.Context).TreeProgram(trees[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		o.trees[i], bases[i] = trees[0], base
+	}
+	return examples, bases, nil
+}
+
+// Instances localizes the candidate at the nodes of the example's parse
+// tree that apply its production.
+func (o *asgOracle) Instances(c, i int) []asp.Rule {
+	h := o.task.Space[c]
+	return asg.Localize(h.Rule, h.ProdID, o.trees[i])
 }
 
 // ProductionBias pairs an ILASP language bias with the production(s) its

@@ -3,7 +3,9 @@ package ilasp
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 // compare the learner's answer with the best score.
 
 // Candidate rules a fuzzed task draws from. Heads (h, g, q) occur in no
-// body, so every drawn space is independent.
+// body, constraints included, so every drawn space is independent.
 var defTemplates = []string{
 	"h :- a.",
 	"h :- b.",
@@ -32,6 +34,9 @@ var defTemplates = []string{
 	"q(1) :- p(1).",
 	"q(X) :- p(X), not a.",
 	"q(2) :- b.",
+	":- a, c.",
+	":- c, not b.",
+	":- p(X), X > 1.",
 }
 
 var (
@@ -199,11 +204,11 @@ func (tab *defTable) check(task *Task, opts LearnOptions, res *Result, err error
 	return nil
 }
 
-// learnResolve is Learn on the re-solve path: coverage comes from the
-// ground-once engine, never from signatures.
+// learnResolve is Learn on the re-solve path: the wrapper hides the
+// oracle's Decomposer methods, so coverage comes from the ground-once
+// engine, never from signatures.
 func learnResolve(task *Task, opts LearnOptions) (*Result, error) {
-	o := newTaskOracle(task, task.Space)
-	o.noVectors = true
+	o := struct{ Oracle }{newTaskOracle(task, task.Space)}
 	sol, err := Search(o, ExampleWeights(task.Examples), opts)
 	if err != nil {
 		return nil, err
@@ -238,7 +243,8 @@ func singleBase(t *testing.T, task *Task) bool {
 // FuzzLearnDefinitional checks both learners against brute force: Learn
 // on the signature path and on the re-solve path, and LearnIndependent
 // on positive-only tasks, must reach the optimum objective with Covered
-// equal to Task.Covers on the returned hypothesis.
+// equal to Task.Covers on the returned hypothesis. LearnIndependent must
+// refuse spaces with constraints.
 func FuzzLearnDefinitional(f *testing.F) {
 	seeds := [][]byte{
 		{},
@@ -258,6 +264,12 @@ func FuzzLearnDefinitional(f *testing.F) {
 		{0x33, 2, 7, 1, 0, 1, 2, 33, 1, 0, 9, 2, 0},
 		// Noisy soft and hard examples with conflicting labels.
 		{7, 3, 0, 1, 1, 1, 6, 2, 3, 11, 1, 2, 9, 0, 1, 15, 1, 0},
+		// Constraints beside a headed rule: h :- a. covers the positive
+		// example, and :- a, c. and :- p(X), X > 1. are both needed to
+		// leave the two negatives without a witness.
+		{4, 3, 0, 1, 14, 1, 16, 1, 3, 0x28, 1, 0, 0x19, 1, 0, 0x88, 1, 0},
+		// Noisy: :- c, not b. against soft examples of both polarities.
+		{3, 2, 15, 1, 10, 2, 3, 0x23, 0, 0, 0x22, 0, 0, 0x2b, 8, 0},
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -282,6 +294,14 @@ func FuzzLearnDefinitional(f *testing.F) {
 			}
 		}
 		res, err = task.LearnIndependent(opts)
+		for _, c := range task.Space {
+			if c.Rule.Head == nil {
+				if err == nil || !strings.Contains(err.Error(), "requires headed candidates") {
+					t.Fatalf("LearnIndependent on a space with constraint %s: %v, %v", c.Rule.String(), res, err)
+				}
+				return
+			}
+		}
 		if !singleBase(t, task) {
 			if err == nil || !strings.Contains(err.Error(), "needs exactly 1") {
 				t.Fatalf("LearnIndependent on a base without exactly one answer set: %v, %v", res, err)
@@ -292,6 +312,49 @@ func FuzzLearnDefinitional(f *testing.F) {
 			t.Fatalf("LearnIndependent: %v\ntask: %+v\nopts: %+v", e, task, opts)
 		}
 	})
+}
+
+// pinnedStrictStop is the fuzz input kept for the strict early-stop path
+// of LearnIndependent's signature build.
+const pinnedStrictStop = "testdata/fuzz/FuzzLearnDefinitional/d3619323875678c1"
+
+// TestPinnedStrictStopInput keeps the pinned input on the path it was
+// kept for: three headed candidates, a positive example e0 whose
+// inclusion h is missing from its base model (so it owns a requirement
+// bit), and a strict stop at e1, whose context holds c under the
+// background constraint ":- c." and so has no answer set. Templates
+// added to defTemplates change what the bytes draw; re-encode the file
+// when this fails.
+func TestPinnedStrictStopInput(t *testing.T) {
+	raw, err := os.ReadFile(pinnedStrictStop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	quoted, ok := strings.CutPrefix(value, "[]byte(")
+	if header != "go test fuzz v1" || !ok {
+		t.Fatalf("%s: not a one-value []byte corpus file", pinnedStrictStop)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, opts := decodeLearnTask(t, []byte(data))
+	var rules []string
+	for _, c := range task.Space {
+		rules = append(rules, c.Rule.String())
+	}
+	if want := "h :- a.|g :- c.|g :- a."; strings.Join(rules, "|") != want {
+		t.Fatalf("space %q, want %q", strings.Join(rules, "|"), want)
+	}
+	if len(task.Examples) != 3 || !task.Examples[0].Positive || len(task.Examples[0].Inclusions) != 1 {
+		t.Fatalf("examples %+v: want 3, e0 positive with one inclusion", task.Examples)
+	}
+	_, err = task.LearnIndependent(opts)
+	want := "ilasp: example e1 background has 0 answer sets; LearnIndependent needs exactly 1"
+	if err == nil || err.Error() != want {
+		t.Fatalf("LearnIndependent: %v, want %q", err, want)
+	}
 }
 
 // TestLearnCheckerRejectsNonOptimal: the brute-force checker accepts

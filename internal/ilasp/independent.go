@@ -39,7 +39,7 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := vectorize(t, space, opts.Parallelism, true)
+	v, err := vectorize(&taskOracle{task: t, space: space}, space, opts.Parallelism, true)
 	if err != nil {
 		return nil, err
 	}
@@ -113,14 +113,15 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	}, nil
 }
 
-// checkIndependence verifies the non-recursiveness condition.
+// checkIndependence verifies the non-recursiveness condition: no
+// candidate head predicate occurs in a candidate body (constraints
+// included) or anywhere in the background or the example contexts.
 func checkIndependence(t *Task, space []Candidate) error {
 	headPreds := make(map[string]struct{})
 	for _, c := range space {
-		if c.Rule.Head == nil {
-			return fmt.Errorf("ilasp: LearnIndependent requires headed candidates, found constraint %q", c.Rule.String())
+		if c.Rule.Head != nil {
+			headPreds[c.Rule.Head.Predicate] = struct{}{}
 		}
-		headPreds[c.Rule.Head.Predicate] = struct{}{}
 	}
 	checkProgram := func(p *asp.Program, where string) error {
 		if p == nil {

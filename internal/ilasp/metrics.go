@@ -32,10 +32,12 @@ var (
 	statIndependentNoisyWork = obs.C("ilasp.independent.noisy_work")
 
 	// Signature fast path: searches served from per-candidate coverage
-	// bitsets, candidates collapsed into dominance classes before search,
-	// and branches skipped because a candidate's signature was subsumed
-	// by the already-chosen set.
+	// bitsets, searches whose Decomposer oracle declined to decompose
+	// (they re-solve per hypothesis instead), candidates collapsed into
+	// dominance classes before search, and branches skipped because a
+	// candidate's signature was subsumed by the already-chosen set.
 	statSigSearches  = obs.C("ilasp.sig.searches")
+	statSigFallbacks = obs.C("ilasp.sig.fallbacks")
 	statSigCollapsed = obs.C("ilasp.sig.collapsed")
 	statSigSubsumed  = obs.C("ilasp.sig.subsumed")
 )

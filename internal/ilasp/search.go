@@ -100,15 +100,18 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	// coverage bitsets, serve every check from word-wide OR/AND, collapse
 	// identical-signature candidates into dominance classes, and let the
 	// noisy search skip subsumed branches. Verdict replay stays in
-	// example order, so the solution, check count, and budgeting are
-	// byte-identical to the re-solve path.
+	// example order, so the solution and coverage equal the re-solve
+	// path's; the pruning can only lower the check count. A Decomposer
+	// that declines is counted, and the search re-solves per hypothesis.
 	var skip []bool
-	if so, ok := o.(sigOracle); ok {
-		if vec := so.signatures(opts.Parallelism); vec != nil && vec.n == len(weights) {
+	if d, ok := o.(Decomposer); ok {
+		if vec, err := vectorize(d, cands, opts.Parallelism, false); err == nil && vec.n == len(weights) {
 			c.vec = vec
 			c.uLevels = make([]unionSig, maxRules+1)
 			skip = collapseClasses(cands, order, vec)
 			statSigSearches.Inc()
+		} else {
+			statSigFallbacks.Inc()
 		}
 	}
 

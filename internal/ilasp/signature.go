@@ -10,14 +10,17 @@ import (
 )
 
 // Coverage signatures: for independent hypothesis spaces (candidate
-// heads feed nothing — the LearnIndependent condition), a hypothesis's
-// coverage of an example decomposes over its candidates. Each candidate
-// then gets a pair of bitsets computed once up front:
+// heads feed nothing — the LearnIndependent condition — and constraints
+// read no candidate head), a hypothesis's coverage of an example
+// decomposes over its candidates. The same holds for ASG tasks whose
+// candidates are all constraints (package asglearn). Each candidate then
+// gets a pair of bitsets computed once up front:
 //
 //   - req:  over the global requirement index (one bit per (example,
 //     needed inclusion) pair) — which requirements the candidate's
 //     one-step derivation satisfies;
-//   - viol: over examples — where the candidate derives an excluded atom.
+//   - viol: over examples — where the candidate derives an excluded atom
+//     or, for a constraint, where its body holds in the base model.
 //
 // A hypothesis H admits a witnessing answer set for example e iff the
 // base is feasible for e, no chosen candidate violates e, and the OR of
@@ -26,8 +29,9 @@ import (
 // ones. A coverage check then becomes word-wide OR/AND over []uint64
 // instead of a ground-and-solve per (hypothesis, example) pair, with
 // verdicts replayed in example order so check counting, MaxChecks
-// budgeting, and the chosen solution stay byte-identical to the re-solve
-// path. LearnIndependent's set-cover searches read the same signatures.
+// budgeting, and the chosen solution follow the re-solve path (only
+// dominance pruning, which skips hypotheses, lowers the count).
+// LearnIndependent's set-cover searches read the same signatures.
 
 // sigWords is a little-endian bitset.
 type sigWords []uint64
@@ -158,35 +162,61 @@ func (v *coverVectors) subsumed(ci int, u *unionSig) bool {
 	return v.req[ci].subsetOf(u.req) && v.viol[ci].subsetOf(u.viol)
 }
 
-// sigOracle is implemented by oracles that can express per-candidate
-// coverage as precomputed signatures, built on par workers. signatures
-// returns nil when the task is not vectorizable (or vectorization is
-// disabled), in which case the search falls back to per-hypothesis
-// oracle checks.
-type sigOracle interface {
-	signatures(par int) *coverVectors
+// Decomposer is the hook through which the signature builder reads an
+// oracle whose coverage decomposes over candidates: example i's verdict
+// under a hypothesis H is read off the one answer set M of i's base
+// program and what the rule instances of H's candidates derive from M in
+// one step (see vectorize). Search builds signatures through it when the
+// oracle offers it, and falls back to Covers — counting
+// ilasp.sig.fallbacks — when the task does not decompose.
+type Decomposer interface {
+	// Decompose returns the examples as the builder reads them (ID,
+	// polarity, inclusions and exclusions; contexts are ignored) with
+	// each example's base program, the part of its program every
+	// hypothesis shares (nil when no hypothesis has a witness for the
+	// example), or why the task does not decompose.
+	Decompose() ([]Example, []*asp.Program, error)
+	// Instances returns the rules candidate c adds to example i's
+	// program; it is called only after Decompose succeeded. It is called
+	// concurrently for distinct candidates, and the caller only reads
+	// the result.
+	Instances(c, i int) []asp.Rule
 }
 
 // vectorize is the one signature builder of both learners: it computes
 // coverage signatures for a task, or returns why the task does not
-// decompose. Candidates must be headed, safe, non-choice rules whose head
-// predicates feed nothing (checkIndependence), and background ∪ context
-// must have at most one answer set per example (zero models make the
-// example infeasible but stay vectorizable).
+// decompose. Decompose states the task-level condition (for ILASP tasks,
+// checkIndependence); candidates must further be safe, non-choice rules,
+// and each example's base program must have at most one answer set (zero
+// makes the example infeasible but stays vectorizable). A headed
+// instance sets requirement bits for the missing inclusions it derives
+// and the viol bit when it derives an exclusion; a constraint instance
+// sets the viol bit when its body holds in the base model, since a
+// constraint only removes answer sets and its body reads no candidate
+// head.
 //
-// strict applies LearnIndependent's contract on top: every example is
-// positive and has exactly one base answer set. Errors come out in the
-// order an example-by-example build would meet them: the first failing
-// example's base-model error, unless a candidate evaluation fails on an
-// earlier example (then the first such candidate's error). Search
-// discards the error and falls back to the re-solve path, which then
-// reproduces the engine's lazy error behaviour exactly.
+// strict applies LearnIndependent's contract on top: every candidate is
+// headed, every example is positive and has exactly one base answer set.
+// Errors come out in the order an example-by-example build would meet
+// them: the first failing example's base-model error, unless a candidate
+// evaluation fails on an earlier example (then the first such
+// candidate's error). Search counts the error as a fallback and runs
+// the re-solve path, which then reproduces the engine's lazy error
+// behaviour exactly.
 //
 // Evaluation fans out once, on par workers (GOMAXPROCS when 0), sharded
 // by candidate so each worker owns disjoint signature rows and its own
 // Evaluator scratch; the signatures do not depend on par.
-func vectorize(t *Task, space []Candidate, par int, strict bool) (*coverVectors, error) {
-	if err := checkIndependence(t, space); err != nil {
+func vectorize(d Decomposer, space []Candidate, par int, strict bool) (*coverVectors, error) {
+	if strict {
+		for _, c := range space {
+			if c.Rule.Head == nil {
+				return nil, fmt.Errorf("ilasp: LearnIndependent requires headed candidates, found constraint %q", c.Rule.String())
+			}
+		}
+	}
+	examples, bases, err := d.Decompose()
+	if err != nil {
 		return nil, err
 	}
 	for _, c := range space {
@@ -198,7 +228,7 @@ func vectorize(t *Task, space []Candidate, par int, strict bool) (*coverVectors,
 		}
 	}
 
-	v := &coverVectors{n: len(t.Examples)}
+	v := &coverVectors{n: len(examples)}
 	v.reqOff = make([]int, v.n+1)
 	v.feasible = make([]bool, v.n)
 	v.positive = make([]bool, v.n)
@@ -212,24 +242,20 @@ func vectorize(t *Task, space []Candidate, par int, strict bool) (*coverVectors,
 	// stop is the first example that fails the contract; strict builds
 	// still evaluate the examples before it, whose errors come first.
 	stop, stopErr := v.n, error(nil)
-	for ei, e := range t.Examples {
+	for ei, e := range examples {
 		v.positive[ei] = e.Positive
 		v.reqOff[ei+1] = v.reqOff[ei]
 		if strict && !e.Positive {
 			stop, stopErr = ei, fmt.Errorf("ilasp: LearnIndependent requires positive examples; express %q via exclusions", e.ID)
 			break
 		}
-		prog := asp.NewProgram()
-		if t.Background != nil {
-			prog.Extend(t.Background)
-		}
-		if e.Context != nil {
-			prog.Extend(e.Context)
-		}
-		models, err := asp.Solve(prog, asp.SolveOptions{MaxModels: 2})
-		if err != nil {
-			stop, stopErr = ei, fmt.Errorf("ilasp: base model of example %s: %w", e.ID, err)
-			break
+		var models []*asp.AnswerSet
+		if bases[ei] != nil {
+			models, err = asp.Solve(bases[ei], asp.SolveOptions{MaxModels: 2})
+			if err != nil {
+				stop, stopErr = ei, fmt.Errorf("ilasp: base model of example %s: %w", e.ID, err)
+				break
+			}
 		}
 		if len(models) > 1 || strict && len(models) == 0 {
 			stop, stopErr = ei, fmt.Errorf("ilasp: example %s background has %d answer sets; LearnIndependent needs exactly 1", e.ID, len(models))
@@ -292,27 +318,37 @@ func vectorize(t *Task, space []Candidate, par int, strict bool) (*coverVectors,
 			ev := asp.NewEvaluator()
 			limit := stop
 			for ri := w; ri < len(space); ri += workers {
+				constraint := space[ri].Rule.Head == nil
+			examples:
 				for ei := 0; ei < limit; ei++ {
 					st := &states[ei]
 					if st.ix == nil {
 						continue
 					}
-					derived, err := ev.EvalPrepared(st.ix, space[ri].Rule)
-					if err != nil {
-						fails[w] = evalFail{ei, fmt.Errorf("ilasp: evaluating candidate %q: %w", space[ri].Rule.String(), err)}
-						limit = ei
-						break
-					}
-					for _, d := range derived {
-						for _, x := range st.excl {
-							if asp.AtomsEqual(d, x) {
-								v.viol[ri].set(ei)
-								break
-							}
+					for _, r := range d.Instances(ri, ei) {
+						derived, err := ev.EvalPrepared(st.ix, r)
+						if err != nil {
+							fails[w] = evalFail{ei, fmt.Errorf("ilasp: evaluating candidate %q: %w", space[ri].Rule.String(), err)}
+							limit = ei
+							break examples
 						}
-						for ni := range st.needs { // an inclusion may repeat
-							if asp.AtomsEqual(d, st.needs[ni]) {
-								v.req[ri].set(v.reqOff[ei] + ni)
+						if constraint {
+							if len(derived) > 0 { // the body holds: no answer set survives
+								v.viol[ri].set(ei)
+							}
+							continue
+						}
+						for _, a := range derived {
+							for _, x := range st.excl {
+								if asp.AtomsEqual(a, x) {
+									v.viol[ri].set(ei)
+									break
+								}
+							}
+							for ni := range st.needs { // an inclusion may repeat
+								if asp.AtomsEqual(a, st.needs[ni]) {
+									v.req[ri].set(v.reqOff[ei] + ni)
+								}
 							}
 						}
 					}

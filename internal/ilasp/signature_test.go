@@ -110,21 +110,25 @@ func TestSignatureDifferential(t *testing.T) {
 			if noise {
 				weight = 5
 			}
-			run := func(noVectors bool, par int) (*Solution, *taskOracle, error) {
+			// resolve hides the oracle's Decomposer methods, so the search
+			// re-solves every check.
+			run := func(resolve bool, par int) (*Solution, error) {
 				task := sigTask(t, weight)
-				o := newTaskOracle(task, task.Space)
-				o.noVectors = noVectors
-				sol, err := Search(o, ExampleWeights(task.Examples),
+				var o Oracle = newTaskOracle(task, task.Space)
+				if resolve {
+					o = struct{ Oracle }{o}
+				}
+				return Search(o, ExampleWeights(task.Examples),
 					LearnOptions{MaxRules: 3, Noise: noise, Parallelism: par})
-				return sol, o, err
 			}
 
-			want, _, wantErr := run(true, 1)
-			got, sig, gotErr := run(false, 1)
+			want, wantErr := run(true, 1)
+			searches := statSigSearches.Value()
+			got, gotErr := run(false, 1)
 			if wantErr != nil || gotErr != nil {
 				t.Fatalf("errors: oracle=%v signatures=%v", wantErr, gotErr)
 			}
-			if sig.vec == nil {
+			if statSigSearches.Value() == searches {
 				t.Fatal("task unexpectedly not vectorizable")
 			}
 			if !reflect.DeepEqual(want.Chosen, got.Chosen) {
@@ -138,16 +142,16 @@ func TestSignatureDifferential(t *testing.T) {
 			}
 
 			// Serial/parallel byte-identity within each path.
-			for _, noVec := range []bool{false, true} {
-				serial, _, err1 := run(noVec, 1)
-				parallel, _, err2 := run(noVec, 4)
+			for _, resolve := range []bool{false, true} {
+				serial, err1 := run(resolve, 1)
+				parallel, err2 := run(resolve, 4)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("noVectors=%v: errors: serial=%v parallel=%v", noVec, err1, err2)
+					t.Fatalf("resolve=%v: errors: serial=%v parallel=%v", resolve, err1, err2)
 				}
 				if !reflect.DeepEqual(serial.Chosen, parallel.Chosen) ||
 					serial.Covered != parallel.Covered || serial.Checks != parallel.Checks {
-					t.Errorf("noVectors=%v: serial (%v, %d, %d) != parallel (%v, %d, %d)",
-						noVec, serial.Chosen, serial.Covered, serial.Checks,
+					t.Errorf("resolve=%v: serial (%v, %d, %d) != parallel (%v, %d, %d)",
+						resolve, serial.Chosen, serial.Covered, serial.Checks,
 						parallel.Chosen, parallel.Covered, parallel.Checks)
 				}
 			}
@@ -162,8 +166,7 @@ func TestSignatureBudgetDifferential(t *testing.T) {
 		opts := LearnOptions{MaxRules: 3, MaxChecks: budget}
 
 		task := sigTask(t, 0)
-		ref := newTaskOracle(task, task.Space)
-		ref.noVectors = true
+		ref := struct{ Oracle }{newTaskOracle(task, task.Space)}
 		_, wantErr := Search(ref, ExampleWeights(task.Examples), opts)
 
 		task2 := sigTask(t, 0)
@@ -218,7 +221,7 @@ func TestVectorizeFallbacks(t *testing.T) {
 	}
 	task := &Task{Background: bg, Space: space,
 		Examples: []Example{{ID: "e", Positive: true}}}
-	if v, _ := vectorize(task, space, 1, false); v != nil {
+	if v, _ := vectorize(&taskOracle{task: task, space: space}, space, 1, false); v != nil {
 		t.Error("recursive space vectorized")
 	}
 
@@ -233,7 +236,7 @@ func TestVectorizeFallbacks(t *testing.T) {
 	space2 := []Candidate{{Rule: qRule.Rules[0], Cost: 1}}
 	task2 := &Task{Background: multi, Space: space2,
 		Examples: []Example{{ID: "e", Positive: true}}}
-	if v, _ := vectorize(task2, space2, 1, false); v != nil {
+	if v, _ := vectorize(&taskOracle{task: task2, space: space2}, space2, 1, false); v != nil {
 		t.Error("multi-model background vectorized")
 	}
 }

@@ -219,21 +219,22 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 // (distinct example indices). There is no verdict memo: a search checks
 // each hypothesis at most once, and every Learn builds a fresh oracle.
 //
-// When the task is vectorizable (see vectorize), the oracle also serves
-// the search per-candidate coverage signatures; the search then never
-// calls Covers at all.
+// It is also the task's Decomposer: when the task is independent (see
+// vectorize), the search reads per-candidate coverage signatures and
+// never calls Covers at all. LearnIndependent builds one without an
+// engine, for the signatures alone.
 type taskOracle struct {
 	task   *Task
 	space  []Candidate
 	engine *coverageEngine
 
-	// noVectors forces the re-solve path; differential-test knob.
-	noVectors bool
-	vec       *coverVectors
+	// rules are the space's rules, each candidate's one instance in
+	// every example; set by Decompose.
+	rules []asp.Rule
 }
 
 var _ Oracle = (*taskOracle)(nil)
-var _ sigOracle = (*taskOracle)(nil)
+var _ Decomposer = (*taskOracle)(nil)
 
 func newTaskOracle(t *Task, space []Candidate) *taskOracle {
 	return &taskOracle{task: t, space: space, engine: newCoverageEngine(t, space)}
@@ -241,15 +242,32 @@ func newTaskOracle(t *Task, space []Candidate) *taskOracle {
 
 func (o *taskOracle) Candidates() []Candidate { return o.space }
 
-// signatures vectorizes the task; nil (fall back to Covers) when the
-// task does not decompose.
-func (o *taskOracle) signatures(par int) *coverVectors {
-	if !o.noVectors {
-		o.vec, _ = vectorize(o.task, o.space, par, false)
-	}
-	return o.vec
-}
-
 func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 	return o.engine.covers(chosen, exampleIdx)
 }
+
+// Decompose admits independent tasks (checkIndependence); an example's
+// base program is background ∪ context.
+func (o *taskOracle) Decompose() ([]Example, []*asp.Program, error) {
+	if err := checkIndependence(o.task, o.space); err != nil {
+		return nil, nil, err
+	}
+	o.rules = make([]asp.Rule, len(o.space))
+	for i, c := range o.space {
+		o.rules[i] = c.Rule
+	}
+	bases := make([]*asp.Program, len(o.task.Examples))
+	for i, e := range o.task.Examples {
+		bases[i] = asp.NewProgram()
+		if o.task.Background != nil {
+			bases[i].Extend(o.task.Background)
+		}
+		if e.Context != nil {
+			bases[i].Extend(e.Context)
+		}
+	}
+	return o.task.Examples, bases, nil
+}
+
+// Instances is the candidate itself, whatever the example.
+func (o *taskOracle) Instances(c, _ int) []asp.Rule { return o.rules[c : c+1] }

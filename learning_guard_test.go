@@ -11,7 +11,7 @@ import (
 )
 
 // TestLearningAllocGuard is the CI regression gate for the learning hot
-// path (set AGENP_BENCH_GUARD=1 to run). It holds three budgets:
+// path (set AGENP_BENCH_GUARD=1 to run). It holds four budgets:
 //
 //   - E3 (clean learning, quick mode) must stay under 90k allocs/op —
 //     the level after per-candidate coverage bitsets, per-worker
@@ -30,6 +30,12 @@ import (
 //     when the budget was set (about 10% headroom), and the same search
 //     with the per-node full example rescan restored does 7,836,028, so
 //     that fallback breaks the budget rather than nudging it.
+//   - One E1 run (ASG learning, quick mode) must make at most 15 ground
+//     calls (asp.ground.calls, deterministic): one solve of each of the
+//     12 examples' tree programs, from which coverage signatures answer
+//     every membership check, plus the probe of the learned grammar — 13
+//     when the budget was set. Falling back to re-solving every
+//     (hypothesis, example) check makes 117.
 func TestLearningAllocGuard(t *testing.T) {
 	if os.Getenv("AGENP_BENCH_GUARD") == "" {
 		t.Skip("set AGENP_BENCH_GUARD=1 to run the allocation guard")
@@ -57,6 +63,17 @@ func TestLearningAllocGuard(t *testing.T) {
 	t.Logf("E6 quick: %d units of noisy search work", n)
 	if n > 2_300_000 {
 		t.Errorf("E6 does %d units of noisy search work, above the 2,300,000 budget", n)
+	}
+
+	calls := obs.C("asp.ground.calls")
+	before = calls.Value()
+	if _, err := experiments.Run("E1", experiments.Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	n = calls.Value() - before
+	t.Logf("E1 quick: %d ground calls", n)
+	if n > 15 {
+		t.Errorf("E1 makes %d ground calls, above the budget of 15", n)
 	}
 
 	scenarios := cav.Generate(1, 20)
