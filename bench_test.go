@@ -161,10 +161,9 @@ func BenchmarkSolveEngines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc := &asp.SolverScratch{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := asp.SolveGroundScratch(g, asp.SolveOptions{}, sc); err != nil {
+				if _, err := asp.SolveGround(g, asp.SolveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -220,29 +219,6 @@ func BenchmarkGroundPrograms(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationGrounding compares semi-naive against naive
-// re-instantiation on a recursive program.
-func BenchmarkAblationGrounding(b *testing.B) {
-	src := "num(0).\nnum(N + 1) :- num(N), N < 120.\neven(N) :- num(N), N \\ 2 = 0.\npair(X, Y) :- even(X), even(Y), X < Y, Y < 20.\n"
-	prog, err := asp.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, naive := range []bool{false, true} {
-		name := "semi-naive"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asp.Ground(prog, asp.GroundingOptions{Naive: naive}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationLearnerPruning compares the set-cover fast path

@@ -15,8 +15,8 @@ package asp
 // clauses append to the same private arena), so one compiled program
 // can serve concurrent solves.
 
-// cdnlSolver holds the per-solve search state. It lives inside
-// SolverScratch so repeated solves reuse every buffer.
+// cdnlSolver holds the per-solve search state. SolveGround pools
+// solvers, so repeated solves reuse every buffer.
 type cdnlSolver struct {
 	cp   *CompiledProgram
 	g    *GroundProgram
@@ -24,7 +24,7 @@ type cdnlSolver struct {
 
 	nVars int32
 
-	arena  []int32   // private copy of active clauses + learned clauses
+	arena  []int32   // private copy of the clauses + learned clauses
 	watch  [][]int32 // per literal: refs of clauses watching it
 	assign []int8    // per var: vUnknown / vTrue / vFalse
 	level  []int32   // per var: decision level of its assignment
@@ -94,16 +94,7 @@ func (s *cdnlSolver) init(g *GroundProgram, cp *CompiledProgram, opts SolveOptio
 	s.nVars = cp.nVars
 	n := int(cp.nVars)
 
-	// Private arena: copy the active clauses, dropping the flags word.
-	s.arena = s.arena[:0]
-	for ref := int32(0); ref < int32(len(cp.arena)); {
-		size := cp.arena[ref]
-		if cp.arena[ref+1]&clauseDisabled == 0 {
-			s.arena = append(s.arena, size)
-			s.arena = append(s.arena, cp.arena[ref+2:ref+2+size]...)
-		}
-		ref += size + 2
-	}
+	s.arena = append(s.arena[:0], cp.arena...)
 
 	s.watch = growLists(s.watch, 2*n)
 	s.assign = grow(s.assign, n)
@@ -128,11 +119,9 @@ func (s *cdnlSolver) init(g *GroundProgram, cp *CompiledProgram, opts SolveOptio
 		s.heapPos[i] = -1
 	}
 	s.heap = s.heap[:0]
-	for v := int32(0); v < s.nVars; v++ {
-		if cp.varAtom[v] >= 0 {
-			s.heapPos[v] = int32(len(s.heap))
-			s.heap = append(s.heap, v)
-		}
+	for v := int32(0); v < cp.nAtoms; v++ {
+		s.heapPos[v] = v
+		s.heap = append(s.heap, v)
 	}
 
 	// Watch clauses and enqueue units at level 0.
@@ -202,11 +191,9 @@ func (s *cdnlSolver) initUnfounded(cp *CompiledProgram) {
 	for _, b := range s.cycBodies {
 		n := int32(0)
 		for _, l := range cp.bodyLit[cp.bodyOff[b]:cp.bodyOff[b+1]] {
-			if l&1 == 0 {
-				if a := cp.varAtom[litVar(l)]; a >= 0 && cp.cyclic[a] {
-					n++
-					s.posInOff[a+1]++
-				}
+			if a := litVar(l); l&1 == 0 && cp.cyclic[a] {
+				n++
+				s.posInOff[a+1]++
 			}
 		}
 		s.cycPosCnt[b] = n
@@ -222,11 +209,9 @@ func (s *cdnlSolver) initUnfounded(cp *CompiledProgram) {
 	cursor := append([]int32(nil), s.posInOff[:nA]...)
 	for _, b := range s.cycBodies {
 		for _, l := range cp.bodyLit[cp.bodyOff[b]:cp.bodyOff[b+1]] {
-			if l&1 == 0 {
-				if a := cp.varAtom[litVar(l)]; a >= 0 && cp.cyclic[a] {
-					s.posInBody[cursor[a]] = b
-					cursor[a]++
-				}
+			if a := litVar(l); l&1 == 0 && cp.cyclic[a] {
+				s.posInBody[cursor[a]] = b
+				cursor[a]++
 			}
 		}
 	}
@@ -387,7 +372,7 @@ func (s *cdnlSolver) backtrack(toLevel int32) {
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		v := s.trail[i] >> 1
 		s.assign[v] = vUnknown
-		if s.cp.varAtom[v] >= 0 && s.heapPos[v] < 0 {
+		if v < s.cp.nAtoms && s.heapPos[v] < 0 {
 			s.heapPush(v)
 		}
 	}
@@ -491,7 +476,7 @@ func (s *cdnlSolver) handleConflict(confl int32) {
 func (s *cdnlSolver) sourcesOK() bool {
 	cp := s.cp
 	for _, a := range s.cyc {
-		if s.assign[cp.atomVar[a]] == vFalse {
+		if s.assign[a] == vFalse {
 			continue
 		}
 		sp := s.sourcePtr[a]
@@ -558,7 +543,7 @@ func (s *cdnlSolver) unfoundedCheck() (int32, bool) {
 	cp := s.cp
 	s.ufSet = s.ufSet[:0]
 	for _, a := range s.cyc {
-		if s.founded[a] == 0 && s.assign[cp.atomVar[a]] != vFalse {
+		if s.founded[a] == 0 && s.assign[a] != vFalse {
 			s.ufSet = append(s.ufSet, a)
 			s.inU[a] = 1
 		}
@@ -580,11 +565,9 @@ func (s *cdnlSolver) unfoundedCheck() (int32, bool) {
 			s.bodyMark[b] = 1
 			internal := false
 			for _, l := range cp.bodyLit[cp.bodyOff[b]:cp.bodyOff[b+1]] {
-				if l&1 == 0 {
-					if at := cp.varAtom[litVar(l)]; at >= 0 && s.inU[at] != 0 {
-						internal = true
-						break
-					}
+				if l&1 == 0 && s.inU[litVar(l)] != 0 {
+					internal = true
+					break
 				}
 			}
 			if !internal {
@@ -605,12 +588,11 @@ func (s *cdnlSolver) unfoundedCheck() (int32, bool) {
 		if conflict >= 0 {
 			continue
 		}
-		av := cp.atomVar[a]
 		// Loop clause: lits[0] is ¬a; the second slot holds the
 		// highest-level external body literal so the watches behave
 		// after backjumping.
 		s.learnt = s.learnt[:0]
-		s.learnt = append(s.learnt, nLit(av))
+		s.learnt = append(s.learnt, nLit(a))
 		maxIdx := -1
 		var maxLvl int32 = -1
 		for _, b := range s.extBodies {
@@ -626,10 +608,10 @@ func (s *cdnlSolver) unfoundedCheck() (int32, bool) {
 		}
 		ref := s.addClause(s.learnt)
 		s.learnedNogoods++
-		if s.assign[av] == vTrue {
+		if s.assign[a] == vTrue {
 			conflict = ref
-		} else if s.assign[av] == vUnknown {
-			s.enqueue(nLit(av), ref)
+		} else if s.assign[a] == vUnknown {
+			s.enqueue(nLit(a), ref)
 			changed = true
 		}
 	}
@@ -652,7 +634,7 @@ func (s *cdnlSolver) recordModel() {
 	atoms := make([]Atom, 0, 16)
 	cp := s.cp
 	for a := int32(0); a < cp.nAtoms; a++ {
-		if s.assign[cp.atomVar[a]] == vTrue && !isInternalAtom(s.g.Atoms[a]) {
+		if s.assign[a] == vTrue && !isInternalAtom(s.g.Atoms[a]) {
 			atoms = append(atoms, s.g.Atoms[a])
 		}
 	}

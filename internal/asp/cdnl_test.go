@@ -106,19 +106,19 @@ func chainProgram(n int) *GroundProgram {
 
 // TestCDNLContextCancel: a cancelled context aborts the solve from
 // inside unit propagation (the chain forces >4096 propagations before
-// any decision), and the same scratch solves cleanly afterwards — a
+// any decision), and the same solver solves cleanly afterwards — a
 // stale context error must not leak across runs.
 func TestCDNLContextCancel(t *testing.T) {
 	g := chainProgram(3 * (ctxCheckMask + 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sc := &SolverScratch{}
-	_, err := SolveGroundScratch(g, SolveOptions{Context: ctx}, sc)
+	s := &cdnlSolver{}
+	_, err := solveGroundScratch(g, SolveOptions{Context: ctx}, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve: got err %v, want context.Canceled", err)
 	}
-	// Reuse the same scratch without a context: must fully succeed.
-	models, err := SolveGroundScratch(g, SolveOptions{}, sc)
+	// Reuse the same solver without a context: must fully succeed.
+	models, err := solveGroundScratch(g, SolveOptions{}, s)
 	if err != nil {
 		t.Fatalf("reuse after cancel: %v", err)
 	}
@@ -170,17 +170,17 @@ func TestCDNLMaxModels(t *testing.T) {
 }
 
 // TestSolveScratchReuseNoLeak mirrors the checker leak tests: a long
-// sequence of solves on one scratch — large programs, cancelled solves,
+// sequence of solves on one solver — large programs, cancelled solves,
 // small programs — must neither leak goroutines nor let stale buffers
 // corrupt later results.
 func TestSolveScratchReuseNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sc := &SolverScratch{}
+	s := &cdnlSolver{}
 	big := chainProgram(2 * (ctxCheckMask + 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 3; i++ {
-		if _, err := SolveGroundScratch(big, SolveOptions{Context: ctx}, sc); !errors.Is(err, context.Canceled) {
+		if _, err := solveGroundScratch(big, SolveOptions{Context: ctx}, s); !errors.Is(err, context.Canceled) {
 			t.Fatalf("round %d: want context.Canceled, got %v", i, err)
 		}
 		prog, err := Parse("a :- not b. b :- not a. c :- a. :- b.")
@@ -191,7 +191,7 @@ func TestSolveScratchReuseNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		models, err := SolveGroundScratch(g, SolveOptions{}, sc)
+		models, err := solveGroundScratch(g, SolveOptions{}, s)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}

@@ -19,15 +19,10 @@ package asp
 // marks the atoms on positive dependency cycles so the solver knows
 // when to run its unfounded-set check.
 //
-// Variables are append-only and never renumbered, so an incremental
-// extension (new atoms, new bodies, new clauses) can be journaled and
-// rolled back without disturbing the base clauses. The clause arena is
-// [size, flags, lits...] records; a clause ref is the offset of its
-// size word. The arena is read-only during solving (learned clauses
-// live in solver-private storage), so one compiled program may serve
-// concurrent solves of the same ground program.
-
-const clauseDisabled = 1
+// The clause arena is [size, lits...] records; a clause ref is the
+// offset of its size word. The arena is read-only during solving
+// (learned clauses live in solver-private storage), so one compiled
+// program may serve concurrent solves of the same ground program.
 
 // pLit / nLit build the positive ("v true") and negative literal of a
 // variable; litVar recovers the variable.
@@ -41,13 +36,11 @@ func litVar(l int32) int32 { return l >> 1 }
 // compileGround (or transparently via GroundProgram.clauseForm) and
 // reuse it across solves.
 type CompiledProgram struct {
-	nAtoms int32 // atom ids covered; atomVar is parallel
+	// Atom a is solver variable a; body variables follow the atoms.
+	nAtoms int32
 	nVars  int32
 
-	atomVar []int32 // atom id -> solver variable
-	varAtom []int32 // variable -> atom id, or -1 for body variables
-
-	arena []int32 // clause store: [size, flags, lits...]*
+	arena []int32 // clause store: [size, lits...]*
 
 	// Body structure. bodyLit[bodyOff[b]:bodyOff[b+1]] lists the atom
 	// literals body b requires (pLit for positive, nLit for negated),
@@ -59,19 +52,12 @@ type CompiledProgram struct {
 
 	heads    [][]int32 // per body: head atoms it supports
 	supports [][]int32 // per atom: bodies supporting it
-	supRef   []int32   // per atom: arena ref of its support clause
 
 	// Positive-dependency cycle info. cyclic[a] marks atoms on a
 	// positive cycle; tight programs (nCyclic == 0) skip the
 	// unfounded-set machinery entirely.
 	cyclic  []bool
 	nCyclic int32
-
-	// posBodyPreds holds the predicates occurring positively in any
-	// rule body: an extension can only create new positive cycles when
-	// one of its head predicates is in this set (something must depend
-	// on the new heads), which gates the SCC recomputation.
-	posBodyPreds map[string]struct{}
 
 	keyBuf []byte  // scratch for body interning
 	litBuf []int32 // scratch for body literal canonicalisation
@@ -80,17 +66,6 @@ type CompiledProgram struct {
 // NumClauseVars returns the solver variable count (atoms plus bodies).
 func (cp *CompiledProgram) NumClauseVars() int { return int(cp.nVars) }
 
-// NumClauses counts the active clauses in the arena.
-func (cp *CompiledProgram) NumClauses() int {
-	n := 0
-	for ref := int32(0); ref < int32(len(cp.arena)); ref += cp.arena[ref] + 2 {
-		if cp.arena[ref+1]&clauseDisabled == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Tight reports whether the program has no positive dependency cycles.
 func (cp *CompiledProgram) Tight() bool { return cp.nCyclic == 0 }
 
@@ -98,9 +73,9 @@ func (cp *CompiledProgram) Tight() bool { return cp.nCyclic == 0 }
 func compileGround(g *GroundProgram) *CompiledProgram {
 	n := int32(g.NumAtoms())
 	// Pre-size the clause arena and support lists from one pass over the
-	// rules: a body of m literals costs at most 3+5m arena words (body
-	// definition plus m literal clauses), a head/constraint rule 4 more,
-	// and every atom's support clause 3 plus one word per supporting
+	// rules: a body of m literals costs at most 2+4m arena words (body
+	// definition plus m literal clauses), a head/constraint rule 3 more,
+	// and every atom's support clause 2 plus one word per supporting
 	// body. Upper bounds — body dedup only shrinks them — so the arena
 	// never reallocates and each supports[a] is carved from one block.
 	lits, arena := 0, 0
@@ -110,54 +85,44 @@ func compileGround(g *GroundProgram) *CompiledProgram {
 		r := &g.Rules[ri]
 		m := len(r.PosBody) + len(r.NegBody)
 		lits += m
-		arena += 3 + 5*m + 4
+		arena += 2 + 4*m + 3
 		if r.Head >= 0 {
 			headCnt[r.Head]++
 			totalHeads++
 		}
 	}
-	arena += 3*int(n) + totalHeads
+	arena += 2*int(n) + totalHeads
 	cp := &CompiledProgram{
-		nAtoms:       n,
-		nVars:        n,
-		arena:        make([]int32, 0, arena),
-		bodyKey:      make(map[string]int32, len(g.Rules)),
-		bodyLit:      make([]int32, 0, lits),
-		bodyOff:      make([]int32, 1, len(g.Rules)+1),
-		bodyVarID:    make([]int32, 0, len(g.Rules)),
-		heads:        make([][]int32, 0, len(g.Rules)),
-		posBodyPreds: make(map[string]struct{}),
-		atomVar:      make([]int32, n),
-		varAtom:      make([]int32, n, n+int32(len(g.Rules))),
-		supports:     make([][]int32, n),
-		supRef:       make([]int32, n),
+		nAtoms:    n,
+		nVars:     n,
+		arena:     make([]int32, 0, arena),
+		bodyKey:   make(map[string]int32, len(g.Rules)),
+		bodyLit:   make([]int32, 0, lits),
+		bodyOff:   make([]int32, 1, len(g.Rules)+1),
+		bodyVarID: make([]int32, 0, len(g.Rules)),
+		heads:     make([][]int32, 0, len(g.Rules)),
+		supports:  make([][]int32, n),
 	}
 	supBlock := make([]int32, totalHeads)
 	off := 0
 	for a := int32(0); a < n; a++ {
-		cp.atomVar[a] = a
-		cp.varAtom[a] = a
 		c := int(headCnt[a])
 		cp.supports[a] = supBlock[off : off : off+c]
 		off += c
 	}
-	cp.addRules(g.Rules, g, nil)
-	cp.finishAtoms(0, n)
+	cp.addRules(g.Rules)
+	for a := int32(0); a < n; a++ {
+		cp.emitSupport(a)
+	}
 	cp.computeCyclic()
 	return cp
 }
 
 // clauseForm returns the cached clause form of the program, compiling
-// it on first use. Programs produced by IncrementalGrounder.Extend
-// carry a hook that extends the grounder's base clause form instead of
-// compiling from scratch.
+// it on first use.
 func (g *GroundProgram) clauseForm() *CompiledProgram {
 	if g.cp == nil {
-		if g.cpFn != nil {
-			g.cp = g.cpFn()
-		} else {
-			g.cp = compileGround(g)
-		}
+		g.cp = compileGround(g)
 	}
 	return g.cp
 }
@@ -165,12 +130,12 @@ func (g *GroundProgram) clauseForm() *CompiledProgram {
 // beginClause/endClause bracket arena clause emission.
 func (cp *CompiledProgram) beginClause() int32 {
 	ref := int32(len(cp.arena))
-	cp.arena = append(cp.arena, 0, 0) // size, flags
+	cp.arena = append(cp.arena, 0) // size
 	return ref
 }
 
 func (cp *CompiledProgram) endClause(ref int32) {
-	cp.arena[ref] = int32(len(cp.arena)) - ref - 2
+	cp.arena[ref] = int32(len(cp.arena)) - ref - 1
 }
 
 func (cp *CompiledProgram) emit2(a, b int32) {
@@ -186,15 +151,14 @@ func (cp *CompiledProgram) emit1(a int32) {
 }
 
 // internBody canonicalises a rule body into a body id, emitting the
-// body-definition clauses on first sight. j is the active extension
-// journal, nil during base compilation.
-func (cp *CompiledProgram) internBody(pos, neg []int32, j *cpJournal) int32 {
+// body-definition clauses on first sight.
+func (cp *CompiledProgram) internBody(pos, neg []int32) int32 {
 	lits := cp.litBuf[:0]
 	for _, a := range pos {
-		lits = append(lits, pLit(cp.atomVar[a]))
+		lits = append(lits, pLit(a))
 	}
 	for _, a := range neg {
-		lits = append(lits, nLit(cp.atomVar[a]))
+		lits = append(lits, nLit(a))
 	}
 	// Insertion sort: bodies are short and nearly sorted.
 	for i := 1; i < len(lits); i++ {
@@ -222,25 +186,14 @@ func (cp *CompiledProgram) internBody(pos, neg []int32, j *cpJournal) int32 {
 	if b, ok := cp.bodyKey[string(key)]; ok {
 		return b
 	}
-	if j != nil {
-		// Extensions intern new bodies in the journal's side table so
-		// rollback never touches the shared map.
-		if b := j.lookupExt(key); b >= 0 {
-			return b
-		}
-		j.addExtKey(key)
-	}
 	b := cp.nBodies()
-	if j == nil {
-		cp.bodyKey[string(key)] = b
-	}
+	cp.bodyKey[string(key)] = b
 	cp.bodyLit = append(cp.bodyLit, lits...)
 	cp.bodyOff = append(cp.bodyOff, int32(len(cp.bodyLit)))
 	cp.heads = append(cp.heads, nil)
 	vb := cp.nVars
 	cp.nVars++
 	cp.bodyVarID = append(cp.bodyVarID, vb)
-	cp.varAtom = append(cp.varAtom, -1)
 
 	// Body-true clause: (β ∨ ¬l1 ∨ ... ∨ ¬lm); a fact body is the unit (β).
 	ref := cp.beginClause()
@@ -259,21 +212,11 @@ func (cp *CompiledProgram) internBody(pos, neg []int32, j *cpJournal) int32 {
 func (cp *CompiledProgram) nBodies() int32 { return int32(len(cp.bodyVarID)) }
 
 // addRules compiles rules into bodies, head-derivation clauses, support
-// lists, and constraint units. g supplies predicate names for the cycle
-// gate; its atom table must cover every id the rules mention.
-func (cp *CompiledProgram) addRules(rules []GroundRule, g *GroundProgram, j *cpJournal) {
+// lists, and constraint units.
+func (cp *CompiledProgram) addRules(rules []GroundRule) {
 	for ri := range rules {
 		r := &rules[ri]
-		b := cp.internBody(r.PosBody, r.NegBody, j)
-		for _, a := range r.PosBody {
-			p := g.Atoms[a].Predicate
-			if _, ok := cp.posBodyPreds[p]; !ok {
-				cp.posBodyPreds[p] = struct{}{}
-				if j != nil {
-					j.addedPreds = append(j.addedPreds, p)
-				}
-			}
-		}
+		b := cp.internBody(r.PosBody, r.NegBody)
 		if r.Head < 0 {
 			// Constraint: the body must never hold.
 			cp.emit1(nLit(cp.bodyVarID[b]))
@@ -282,13 +225,10 @@ func (cp *CompiledProgram) addRules(rules []GroundRule, g *GroundProgram, j *cpJ
 		if containsInt32(cp.supports[r.Head], b) {
 			continue // duplicate (head, body) pair after body canonicalisation
 		}
-		if j != nil {
-			j.noteSupportGrowth(cp, r.Head, b)
-		}
 		cp.supports[r.Head] = append(cp.supports[r.Head], b)
 		cp.heads[b] = append(cp.heads[b], r.Head)
 		// Head-derivation clause: (a ∨ ¬β).
-		cp.emit2(pLit(cp.atomVar[r.Head]), nLit(cp.bodyVarID[b]))
+		cp.emit2(pLit(r.Head), nLit(cp.bodyVarID[b]))
 	}
 }
 
@@ -301,23 +241,15 @@ func containsInt32(s []int32, x int32) bool {
 	return false
 }
 
-// finishAtoms emits the support clause for every atom in [from, to):
-// (¬a ∨ β1 ∨ ... ∨ βk), degenerating to the unit (¬a) for atoms with no
-// supporting body.
-func (cp *CompiledProgram) finishAtoms(from, to int32) {
-	for a := from; a < to; a++ {
-		cp.supRef[a] = cp.emitSupport(a)
-	}
-}
-
-func (cp *CompiledProgram) emitSupport(a int32) int32 {
+// emitSupport emits an atom's support clause (¬a ∨ β1 ∨ ... ∨ βk),
+// degenerating to the unit (¬a) for an atom with no supporting body.
+func (cp *CompiledProgram) emitSupport(a int32) {
 	ref := cp.beginClause()
-	cp.arena = append(cp.arena, nLit(cp.atomVar[a]))
+	cp.arena = append(cp.arena, nLit(a))
 	for _, b := range cp.supports[a] {
 		cp.arena = append(cp.arena, pLit(cp.bodyVarID[b]))
 	}
 	cp.endClause(ref)
-	return ref
 }
 
 // computeCyclic finds the atoms on positive dependency cycles (SCC size
@@ -351,9 +283,7 @@ func (cp *CompiledProgram) computeCyclic() {
 				l := lits[f.li]
 				f.li++
 				if l&1 == 0 {
-					if a := cp.varAtom[litVar(l)]; a >= 0 {
-						return a
-					}
+					return litVar(l)
 				}
 			}
 			f.si++

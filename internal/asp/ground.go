@@ -129,11 +129,7 @@ type GroundProgram struct {
 
 	index map[string]int32 // atom key -> id
 
-	// cp caches the clause form (see compile.go); cpFn, when set by the
-	// incremental grounder, builds it by extending the base clause form
-	// instead of compiling from scratch.
-	cp   *CompiledProgram
-	cpFn func() *CompiledProgram
+	cp *CompiledProgram // cached clause form (see compile.go)
 }
 
 // AtomID returns the id of a ground atom, or -1 if the atom does not
@@ -192,11 +188,6 @@ func (g *GroundProgram) String() string {
 
 // GroundingOptions configures the grounder.
 type GroundingOptions struct {
-	// Naive disables the semi-naive delta optimisation (every round
-	// re-instantiates every rule against the full relations). Exposed for
-	// the ablation benchmark; results are identical.
-	Naive bool
-
 	// MaxAtoms aborts grounding when the domain exceeds this many atoms
 	// (0 = unlimited). Guards against runaway programs.
 	MaxAtoms int
@@ -214,13 +205,13 @@ type GroundingOptions struct {
 func Ground(p *Program, opts GroundingOptions) (*GroundProgram, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("asp.ground")
-	normal, err := prepare(p, "")
+	normal, err := prepare(p)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	g := newGrounder(opts)
-	if _, _, err := g.groundRules(normal.Rules); err != nil {
+	if err := g.groundRules(normal.Rules); err != nil {
 		g.release()
 		sp.End()
 		return nil, err
@@ -243,14 +234,13 @@ func Ground(p *Program, opts GroundingOptions) (*GroundProgram, error) {
 	return out, nil
 }
 
-// prepare expands ranges, compiles choice rules (fresh complement atoms
-// namespaced by ns) and checks safety.
-func prepare(p *Program, ns string) (*Program, error) {
+// prepare expands ranges, compiles choice rules and checks safety.
+func prepare(p *Program) (*Program, error) {
 	expanded, err := expandRanges(p)
 	if err != nil {
 		return nil, err
 	}
-	normal, err := compileChoices(expanded, ns)
+	normal, err := compileChoices(expanded)
 	if err != nil {
 		return nil, err
 	}
@@ -268,15 +258,14 @@ func prepare(p *Program, ns string) (*Program, error) {
 // groundRules compiles the rules into planned form, runs the definite
 // fixpoint, and grounds constraints against the final relations. Ground
 // facts are emitted inline — no compiled form, no intermediate slice —
-// since tree/scenario programs are dominated by them. The compiled
-// definite rules and constraints are returned for callers that keep
-// grounding against the result (IncrementalGrounder).
-func (g *grounder) groundRules(rules []Rule) (defs, cons []*plannedRule, err error) {
+// since tree/scenario programs are dominated by them.
+func (g *grounder) groundRules(rules []Rule) error {
 	g.delta = make(map[predKey][]int32)
+	var defs, cons []*plannedRule
 	for _, r := range rules {
 		if r.IsFact() {
 			if err := g.emitFact(*r.Head); err != nil {
-				return nil, nil, err
+				return err
 			}
 			continue
 		}
@@ -288,14 +277,14 @@ func (g *grounder) groundRules(rules []Rule) (defs, cons []*plannedRule, err err
 		}
 	}
 	if err := g.fixpoint(defs); err != nil {
-		return nil, nil, err
+		return err
 	}
 	for _, c := range cons {
 		if err := g.instantiate(c, -1, nil); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return defs, cons, nil
+	return nil
 }
 
 // emitFact interns a ground fact head and records its instance.
@@ -334,10 +323,8 @@ func (g *grounder) instantiate(pr *plannedRule, slot int, delta map[predKey][]in
 //	_ci :- body, not ai.
 //
 // where _ci is a fresh atom carrying the variables of ai and body. This is
-// the standard encoding of choice under stable-model semantics. The ns
-// parameter namespaces the fresh predicates so separately compiled
-// programs (incremental grounding extensions) cannot collide.
-func compileChoices(p *Program, ns string) (*Program, error) {
+// the standard encoding of choice under stable-model semantics.
+func compileChoices(p *Program) (*Program, error) {
 	hasChoice := false
 	for i := range p.Rules {
 		if p.Rules[i].IsChoice() {
@@ -350,10 +337,6 @@ func compileChoices(p *Program, ns string) (*Program, error) {
 	}
 	out := &Program{Rules: make([]Rule, 0, len(p.Rules))}
 	fresh := 0
-	prefix := "_choice_"
-	if ns != "" {
-		prefix = "_choice_" + ns + "_"
-	}
 	for _, r := range p.Rules {
 		if !r.IsChoice() {
 			out.Rules = append(out.Rules, r)
@@ -374,7 +357,7 @@ func compileChoices(p *Program, ns string) (*Program, error) {
 		}
 		for i, a := range r.Choice {
 			comp := Atom{
-				Predicate: fmt.Sprintf("%s%d_%d", prefix, fresh, i),
+				Predicate: fmt.Sprintf("_choice_%d_%d", fresh, i),
 				Args:      varTerms,
 			}
 			posRule := Rule{Head: &Atom{Predicate: a.Predicate, Args: a.Args, Pos: a.Pos}, Pos: r.Pos}
@@ -504,15 +487,6 @@ func (in *Interner) Atom(id int32) Atom { return in.atoms[id] }
 // Len returns the number of interned atoms.
 func (in *Interner) Len() int { return len(in.atoms) }
 
-// truncate removes every atom with id >= n (rollback support for
-// incremental grounding).
-func (in *Interner) truncate(n int) {
-	for _, a := range in.atoms[n:] {
-		delete(in.index, a.Key())
-	}
-	in.atoms = in.atoms[:n]
-}
-
 // reset empties the interner keeping its capacity (pool reuse). Atom
 // argument slices handed out earlier are never mutated, so programs
 // built from a previous use stay valid.
@@ -600,24 +574,6 @@ func (r *relation) add(id int32, a Atom) {
 	}
 }
 
-// popLast removes the most recently added id (which must correspond to
-// atom a) from the relation and any built indexes.
-func (r *relation) popLast(a Atom) {
-	r.ids = r.ids[:len(r.ids)-1]
-	for i, m := range r.argIndex {
-		if m == nil {
-			continue
-		}
-		k := termArgKey(a.Args[i])
-		lst := m[k]
-		if len(lst) <= 1 {
-			delete(m, k)
-		} else {
-			m[k] = lst[:len(lst)-1]
-		}
-	}
-}
-
 // index returns the per-argument index for position arg, building it on
 // first use.
 func (r *relation) index(arg int, in *Interner) map[argKey][]int32 {
@@ -654,11 +610,6 @@ type grounder struct {
 	// pending collects ground rule instances before finalization.
 	pending []groundInstance
 
-	// Journal for incremental grounding rollback.
-	journal     bool
-	addedDomain []int32
-	newRels     []predKey
-
 	// Scratch for finalize. Grounding is sequential within a grounder,
 	// so one set of buffers suffices.
 	keySc keyScratch
@@ -676,7 +627,7 @@ type grounder struct {
 	argBuf   []Term
 	arena    i32Arena
 
-	// Per-call metric accumulators, flushed once per Ground/Extend.
+	// Per-call metric accumulators, flushed once per Ground.
 	scanned      int64
 	planCompiles int64
 	planHits     int64
@@ -704,10 +655,9 @@ func newGrounder(opts GroundingOptions) *grounder {
 	return g
 }
 
-// release resets the grounder and returns it to the pool. Only the
-// batch paths (Ground, GroundWithPlans) release: their finalize copies
-// everything the returned program needs. Incremental grounders are
-// never released — their finalized programs alias the live atom table.
+// release resets the grounder and returns it to the pool. finalize
+// copies everything the returned program needs, so nothing it returns
+// aliases the grounder.
 func (g *grounder) release() {
 	g.in.reset()
 	g.inDomain = g.inDomain[:0]
@@ -718,9 +668,6 @@ func (g *grounder) release() {
 	}
 	g.delta = nil
 	g.pending = g.pending[:0]
-	g.journal = false
-	g.addedDomain = g.addedDomain[:0]
-	g.newRels = g.newRels[:0]
 	g.arena.reset()
 	clear(g.regs) // drop Term references; capacity stays
 	g.planTrace = nil
@@ -758,12 +705,6 @@ func (g *grounder) fixpoint(rules []*plannedRule) error {
 			if len(pr.posIdx) == 0 {
 				continue
 			}
-			if g.opts.Naive {
-				if err := g.instantiate(pr, -1, nil); err != nil {
-					return err
-				}
-				continue
-			}
 			// Semi-naive: require one positive literal to match the
 			// delta; try each position in turn.
 			for k := range pr.posIdx {
@@ -790,15 +731,9 @@ func (g *grounder) addAtomID(id int32) {
 	if rel == nil {
 		rel = g.newRel(pk.arity)
 		g.rel[pk] = rel
-		if g.journal {
-			g.newRels = append(g.newRels, pk)
-		}
 	}
 	rel.add(id, a)
 	g.delta[pk] = append(g.delta[pk], id)
-	if g.journal {
-		g.addedDomain = append(g.addedDomain, id)
-	}
 }
 
 // finalize interns pending instances into a fresh, compacted ground

@@ -30,7 +30,7 @@ type defGrounder struct {
 	work   int                // tuples visited so far
 }
 
-// groundByDefinition grounds prepare(p, "")'s normal program by
+// groundByDefinition grounds prepare(p)'s normal program by
 // definition and returns its instances as canonical rule lines, sorted:
 //
 //   - the domain is the least fixpoint of the rules with negative
@@ -40,7 +40,7 @@ type defGrounder struct {
 //     comparison and binder equality holds;
 //   - a negative atom outside the domain is dropped from the instance.
 func groundByDefinition(p *Program) ([]string, error) {
-	normal, err := prepare(p, "")
+	normal, err := prepare(p)
 	if err != nil {
 		return nil, err
 	}
@@ -330,9 +330,9 @@ func checkGrounding(p *Program, g *GroundProgram) error {
 
 // checkedGround grounds p and fails the test unless the result matches
 // the definitional grounding. It returns the canonical rules.
-func checkedGround(t *testing.T, label string, p *Program, opts GroundingOptions) []string {
+func checkedGround(t *testing.T, label string, p *Program) []string {
 	t.Helper()
-	g, err := Ground(p, opts)
+	g, err := Ground(p, GroundingOptions{})
 	if err != nil {
 		t.Fatalf("%s: ground: %v", label, err)
 	}
@@ -370,7 +370,7 @@ func TestGroundCheckerRejectsWrongPrograms(t *testing.T) {
 }
 
 // TestGroundDifferentialCorpus checks Ground against the definition
-// over the corpus, with semi-naive and with naive fixpoint rounds.
+// over the corpus.
 func TestGroundDifferentialCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.lp"))
 	if err != nil {
@@ -378,13 +378,6 @@ func TestGroundDifferentialCorpus(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Fatal("no corpus files under testdata/corpus")
-	}
-	modes := []struct {
-		name string
-		opts GroundingOptions
-	}{
-		{"seminaive", GroundingOptions{}},
-		{"naive-rounds", GroundingOptions{Naive: true}},
 	}
 	for _, f := range files {
 		src, err := os.ReadFile(f)
@@ -395,64 +388,35 @@ func TestGroundDifferentialCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		for _, m := range modes {
-			if rules := checkedGround(t, filepath.Base(f)+"/"+m.name, prog, m.opts); len(rules) == 0 {
-				t.Fatalf("%s: corpus program grounded to nothing", f)
-			}
+		if rules := checkedGround(t, filepath.Base(f), prog); len(rules) == 0 {
+			t.Fatalf("%s: corpus program grounded to nothing", f)
 		}
 	}
 }
 
-// TestIncrementalDifferential checks the incremental path (base
-// grounding, CompileExtension, repeated Extend with journal rollback in
-// between, and Base after extensions) against batch Ground, which is
-// itself checked against the definition.
+// TestIncrementalDifferential checks the grounding of a base program —
+// recursion, negation and a constraint — extended in turn with facts
+// that seed the recursion, a fact the constraint negates, and a rule
+// with a comparison, and then of the base alone, against the
+// definition.
 func TestIncrementalDifferential(t *testing.T) {
-	base := mustParse(t, `
+	base := `
 		n(1..3).
 		p(X) :- seed(X).
 		p(Y) :- p(X), link(X,Y).
 		link(1,2). link(2,3).
 		q(X) :- n(X), not p(X).
 		:- p(3), not ok.
-	`)
+	`
 	exts := []string{
 		"seed(1). ok.",
 		"seed(2).",
 		"seed(X) :- n(X), X > 2.",
 	}
-	ig, err := NewIncrementalGrounder(base, GroundingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compiled []*CompiledRules
 	for i, src := range exts {
-		ce, err := CompileExtension(mustParse(t, src).Rules, "")
-		if err != nil {
-			t.Fatalf("ext %d: %v", i, err)
-		}
-		compiled = append(compiled, ce)
+		checkedGround(t, fmt.Sprintf("ext %d", i), extended(t, base, src))
 	}
-
-	for i, src := range exts {
-		whole := base.Clone()
-		whole.Extend(mustParse(t, src))
-		want := checkedGround(t, fmt.Sprintf("batch ext %d", i), whole, GroundingOptions{})
-		got, err := ig.Extend(compiled[i]) // implicit rollback of the previous extension
-		if err != nil {
-			t.Fatalf("ext %d: %v", i, err)
-		}
-		if err := diffRules(canonicalRules(got), want); err != nil {
-			t.Fatalf("ext %d: incremental and batch grounding differ: %v", i, err)
-		}
-	}
-
-	// After all extensions and rollbacks, Base must equal a fresh batch
-	// grounding of the base program.
-	wantBase := checkedGround(t, "batch base", base, GroundingOptions{})
-	if err := diffRules(canonicalRules(ig.Base()), wantBase); err != nil {
-		t.Fatalf("Base after extensions differs from batch grounding: %v", err)
-	}
+	checkedGround(t, "base", extended(t, base))
 }
 
 // FuzzGroundDifferential grounds every parseable program and requires
@@ -473,6 +437,9 @@ func FuzzGroundDifferential(f *testing.F) {
 		"a(1). b(1). :- a(X), b(Y), X != Y.",
 		"n(1..3). d(D) :- n(X), n(Y), D = X - Y, D > 0.",
 		"a :- not b. a :- not c. b :- not a. c :- not a.",
+		"edge(a,b). edge(b,c). edge(c,d). path(X,Y) :- edge(X,Y). path(X,Z) :- edge(X,Y), path(Y,Z).",
+		"p(a). q(X) :- p(X), not r(X). r(b).",
+		"num(0). num(N+1) :- num(N), N < 5. even(N) :- num(N), N \\ 2 = 0.",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -210,30 +210,6 @@ func TestGroundMaxAtomsGuard(t *testing.T) {
 	}
 }
 
-func TestGroundNaiveEquivalence(t *testing.T) {
-	srcs := []string{
-		"edge(a,b). edge(b,c). edge(c,d). path(X,Y) :- edge(X,Y). path(X,Z) :- edge(X,Y), path(Y,Z).",
-		"p(a). q(X) :- p(X), not r(X). r(b).",
-		"num(0). num(N+1) :- num(N), N < 5. even(N) :- num(N), N \\ 2 = 0.",
-	}
-	for _, src := range srcs {
-		gSemi, err := Ground(mustParse(t, src), GroundingOptions{})
-		if err != nil {
-			t.Fatalf("semi-naive: %v", err)
-		}
-		gNaive, err := Ground(mustParse(t, src), GroundingOptions{Naive: true})
-		if err != nil {
-			t.Fatalf("naive: %v", err)
-		}
-		if gSemi.NumAtoms() != gNaive.NumAtoms() {
-			t.Errorf("atom counts differ: semi=%d naive=%d for %q", gSemi.NumAtoms(), gNaive.NumAtoms(), src)
-		}
-		if len(gSemi.Rules) != len(gNaive.Rules) {
-			t.Errorf("rule counts differ: semi=%d naive=%d for %q", len(gSemi.Rules), len(gNaive.Rules), src)
-		}
-	}
-}
-
 func TestGroundCompoundTerms(t *testing.T) {
 	g := mustGround(t, `
 		holds(f(a, 1)).

@@ -5,7 +5,7 @@ import "agenp/internal/obs"
 // Telemetry for the grounding/solving core. Metrics are package
 // variables recorded with single atomic adds; per-operation totals are
 // accumulated in plain struct fields on the grounder/solver and flushed
-// once per Ground/Solve/Extend call, so inner loops (join steps, unit
+// once per Ground/Solve call, so inner loops (join steps, unit
 // propagations) never touch an atomic.
 var (
 	statGroundCalls     = obs.C("asp.ground.calls")
@@ -25,16 +25,11 @@ var (
 	statBackjumps      = obs.C("asp.solve.backjumps")
 	statLearnedNogoods = obs.C("asp.solve.learned_nogoods")
 	statModelsFound    = obs.C("asp.solve.models")
-
-	statIncrExtends    = obs.C("asp.incremental.extends")
-	statIncrRollbacks  = obs.C("asp.incremental.rollbacks")
-	statIncrAtomsAdded = obs.C("asp.incremental.atoms_added")
-	statIncrExtendDur  = obs.H("asp.incremental.extend.duration")
 )
 
 // flushPlanStats publishes the grounder's per-call plan/scan
-// accumulators and zeroes them, so long-lived incremental grounders
-// report per-Extend increments rather than lifetime totals.
+// accumulators and zeroes them, so a pooled grounder reports per-call
+// increments rather than lifetime totals.
 func (g *grounder) flushPlanStats() {
 	if g.planCompiles > 0 {
 		statPlansCompiled.Add(g.planCompiles)

@@ -11,18 +11,13 @@ package asp
 //
 // Plans are cached on the plannedRule keyed by delta slot, so the
 // fixpoint pays compilation once per (rule, slot) and every later round
-// is a cache hit. A plannedRule may be shared by several grounders (the
-// learner compiles each candidate rule once and extends many
-// per-example grounders with it); the join order is chosen with the
-// relation sizes of the first grounder that compiles the slot, but the
-// order's *correctness* depends only on the rule itself — boundness
-// constraints are static — so sharing is safe.
+// is a cache hit. Each Ground call builds its own plannedRules and
+// only its grounder reads them, so the cache needs no synchronisation.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // ---------------------------------------------------------------------
@@ -295,8 +290,8 @@ type groundPlan struct {
 }
 
 // planResult pairs a compiled plan with its compile error (a rule that
-// cannot be fully scheduled — the "stuck" case — fails for every
-// grounder identically, so the error is cached like a plan).
+// cannot be fully scheduled — the "stuck" case — fails on every round
+// identically, so the error is cached like a plan).
 type planResult struct {
 	plan *groundPlan
 	err  error
@@ -338,9 +333,7 @@ type atomTemplate struct {
 
 // plannedRule is a rule compiled for planned grounding: dense variable
 // registers, per-literal metadata, emission templates, and a plan cache
-// keyed by delta slot. Safe for concurrent use by multiple grounders
-// (plan slots are atomic pointers; everything else is immutable after
-// newPlannedRule).
+// keyed by delta slot.
 type plannedRule struct {
 	rule    Rule
 	isCon   bool
@@ -351,15 +344,15 @@ type plannedRule struct {
 	negs    []atomTemplate
 	headTpl *atomTemplate
 
-	planAll   atomic.Pointer[planResult]   // delta slot -1
-	planDelta []atomic.Pointer[planResult] // per posIdx slot
+	planAll   *planResult   // delta slot -1
+	planDelta []*planResult // per posIdx slot
 }
 
 // reg returns the register of a variable name, allocating the next
 // dense register on first sight. Rules have a handful of variables, so
 // a linear scan beats a map. After newPlannedRule returns, every
-// variable of the rule has a register, so later calls (plan compiles,
-// possibly concurrent) are pure lookups and never mutate vars.
+// variable of the rule has a register, so later calls (plan compiles)
+// are pure lookups and never mutate vars.
 func (pr *plannedRule) reg(name string) int {
 	for i, v := range pr.vars {
 		if v == name {
@@ -455,7 +448,7 @@ func newPlannedRule(r Rule) *plannedRule {
 		tpl := pr.compileAtomTemplate(*r.Head)
 		pr.headTpl = &tpl
 	}
-	pr.planDelta = make([]atomic.Pointer[planResult], len(pr.posIdx))
+	pr.planDelta = make([]*planResult, len(pr.posIdx))
 	return pr
 }
 
@@ -471,20 +464,18 @@ func (pr *plannedRule) compileAtomTemplate(a Atom) atomTemplate {
 }
 
 // planFor returns the compiled plan for a delta slot (-1 = full join),
-// compiling and caching it on first use. Lock-free: concurrent
-// compiles of the same slot are benign (both plans are valid; the last
-// store wins).
+// compiling and caching it on first use.
 func (pr *plannedRule) planFor(slot int, g *grounder) (*groundPlan, error) {
 	p := &pr.planAll
 	if slot >= 0 {
 		p = &pr.planDelta[slot]
 	}
-	if res := p.Load(); res != nil {
+	if res := *p; res != nil {
 		g.planHits++
 		return res.plan, res.err
 	}
 	plan, err := pr.compilePlan(slot, g)
-	p.Store(&planResult{plan: plan, err: err})
+	*p = &planResult{plan: plan, err: err}
 	g.planCompiles++
 	if g.planTrace != nil && err == nil {
 		*g.planTrace = append(*g.planTrace, describePlan(pr, plan, slot))
@@ -973,8 +964,8 @@ func (g *grounder) internKeyed(pred string, buf []byte, args []Term) int32 {
 
 // i32Arena hands out []int32 blocks from chunked backing arrays, so
 // emitted instances stop paying two small allocations each. Blocks stay
-// valid forever (chunks are never recycled while referenced); reset
-// reuses the current chunk for the next extension.
+// valid until reset, which reuses the current chunk for the next
+// grounding.
 type i32Arena struct {
 	cur []int32
 }
@@ -1008,14 +999,8 @@ func (a *i32Arena) alloc(n int) []int32 {
 	return a.cur[start : start+n : start+n]
 }
 
-// freeze detaches the current chunk: previously handed-out blocks are
-// never reused, so instances recorded before the freeze (the frozen
-// base of an incremental grounder) stay valid across resets.
-func (a *i32Arena) freeze() { a.cur = nil }
-
-// reset reuses the current chunk from the top (rollback of an
-// incremental extension: every block handed out since the last freeze
-// is dead).
+// reset reuses the current chunk from the top; every block handed out
+// before is dead.
 func (a *i32Arena) reset() { a.cur = a.cur[:0] }
 
 // ---------------------------------------------------------------------
@@ -1111,14 +1096,14 @@ func (pi PlanInfo) String() string {
 // orders. Plans are per (rule, delta-position); only plans the fixpoint
 // actually needed appear.
 func GroundWithPlans(p *Program, opts GroundingOptions) (*GroundProgram, []PlanInfo, error) {
-	normal, err := prepare(p, "")
+	normal, err := prepare(p)
 	if err != nil {
 		return nil, nil, err
 	}
 	g := newGrounder(opts)
 	var trace []PlanInfo
 	g.planTrace = &trace
-	if _, _, err := g.groundRules(normal.Rules); err != nil {
+	if err := g.groundRules(normal.Rules); err != nil {
 		g.release()
 		return nil, trace, err
 	}

@@ -137,28 +137,21 @@ func HasAnswerSet(p *Program) (bool, error) {
 // without well-founded support. Each model found is blocked before the
 // search continues, so enumeration is deterministic.
 func SolveGround(g *GroundProgram, opts SolveOptions) ([]*AnswerSet, error) {
-	return SolveGroundScratch(g, opts, nil)
+	s := solverPool.Get().(*cdnlSolver)
+	defer solverPool.Put(s)
+	return solveGroundScratch(g, opts, s)
 }
 
-// scratchPool recycles solver scratch for callers that pass sc == nil
-// (one-shot Solve / HasAnswerSet calls): the grown per-atom and
-// per-clause buffers survive across unrelated solves instead of being
-// reallocated per call.
-var scratchPool = sync.Pool{New: func() any { return &SolverScratch{} }}
+// solverPool recycles solver state between solves: the grown per-atom
+// and per-clause buffers survive across unrelated solves instead of
+// being reallocated per call.
+var solverPool = sync.Pool{New: func() any { return &cdnlSolver{} }}
 
-// SolveGroundScratch is SolveGround with caller-owned scratch buffers:
-// repeated solves (the learner's per-example coverage checks) reuse the
-// solver's per-atom and per-rule state instead of reallocating it each
-// call. sc may be nil; a scratch must not be shared between concurrent
-// solves.
-func SolveGroundScratch(g *GroundProgram, opts SolveOptions, sc *SolverScratch) ([]*AnswerSet, error) {
-	if sc == nil {
-		sc = scratchPool.Get().(*SolverScratch)
-		defer scratchPool.Put(sc)
-	}
+// solveGroundScratch is SolveGround on caller-owned solver state, which
+// must not be shared between concurrent solves.
+func solveGroundScratch(g *GroundProgram, opts SolveOptions, s *cdnlSolver) ([]*AnswerSet, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("asp.solve")
-	s := &sc.cd
 	s.init(g, g.clauseForm(), opts)
 	err := s.run()
 	statSolveCalls.Inc()
@@ -179,8 +172,8 @@ func SolveGroundScratch(g *GroundProgram, opts SolveOptions, sc *SolverScratch) 
 	if err != nil {
 		return nil, err
 	}
-	// Detach the models from the scratch-resident slice so the next
-	// solve on this scratch cannot alias them.
+	// Detach the models from the solver-resident slice so the next
+	// solve on this solver cannot alias them.
 	models := make([]*AnswerSet, len(s.models))
 	copy(models, s.models)
 	return models, nil
@@ -191,13 +184,6 @@ const (
 	vTrue    int8 = 1
 	vFalse   int8 = 2
 )
-
-// SolverScratch holds the reusable buffers of SolveGroundScratch. One
-// scratch serves any sequence of solves (buffers grow to the largest
-// program seen) but must not be used by two solves concurrently.
-type SolverScratch struct {
-	cd cdnlSolver
-}
 
 // grow returns s with length n and every element zeroed, reusing the
 // backing array when it is large enough. It serves every per-atom,

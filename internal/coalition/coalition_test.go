@@ -1,6 +1,7 @@
 package coalition
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -261,6 +262,45 @@ func TestTCPThreeParties(t *testing.T) {
 			imported, _ := parties[i].ImportStats()
 			return imported == 4
 		})
+	}
+}
+
+// TestTCPDialThenPublish publishes the moment two transports have
+// dialled: the hub must already relay to the second one, or the policy
+// is lost for good.
+func TestTCPDialThenPublish(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	for round := 0; round < 300; round++ {
+		ta, err := DialTCP(hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := DialTCP(hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, _, err := tb.Subscribe("b", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("p%d", round)
+		if err := ta.Publish(SharedPolicy{From: "a", ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case sp := <-ch:
+			if sp.ID != id {
+				t.Fatalf("round %d: received %q, want %q", round, sp.ID, id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: policy published right after dialling never arrived", round)
+		}
+		_ = ta.Close()
+		_ = tb.Close()
 	}
 }
 

@@ -4,14 +4,17 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // TCPHub is a hub-and-spoke TCP transport: one party (or a dedicated
 // process) runs the hub, every party connects a TCPTransport to it, and
 // the hub relays each published policy to every other connection. Wire
-// format: one JSON-encoded SharedPolicy per line.
+// format: one JSON-encoded SharedPolicy per line, after one hello line
+// the hub writes to each connection once it relays to it.
 type TCPHub struct {
 	ln net.Listener
 
@@ -34,6 +37,14 @@ func NewTCPHub(addr string) (*TCPHub, error) {
 	return h, nil
 }
 
+// hubHello is the line a hub writes to a connection once it is
+// registered for relay; DialTCP returns only after reading it, so a
+// policy published right after dialling cannot miss a peer.
+const hubHello = "agenp-hub"
+
+// helloTimeout bounds DialTCP's wait for the hub's hello line.
+const helloTimeout = 10 * time.Second
+
 // Addr returns the hub's listen address.
 func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
@@ -51,6 +62,8 @@ func (h *TCPHub) accept() {
 			return
 		}
 		h.conns[conn] = struct{}{}
+		// Under the relay mutex, so the hello precedes every relayed line.
+		_, _ = io.WriteString(conn, hubHello+"\n")
 		h.mu.Unlock()
 		h.wg.Add(1)
 		go h.serve(conn)
@@ -122,21 +135,44 @@ type subscriber struct {
 
 var _ Transport = (*TCPTransport)(nil)
 
-// DialTCP connects to a hub.
+// DialTCP connects to a hub and returns once the hub relays to the new
+// connection.
 func DialTCP(addr string) (*TCPTransport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("coalition: dial hub: %w", err)
 	}
+	scanner := bufio.NewScanner(conn)
+	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	if err := readHello(conn, scanner); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("coalition: dial hub: %w", err)
+	}
 	t := &TCPTransport{conn: conn, done: make(chan struct{})}
-	go t.read()
+	go t.read(scanner)
 	return t, nil
 }
 
-func (t *TCPTransport) read() {
+// readHello reads the hub's hello line under a deadline, through the
+// scanner the frame loop then uses.
+func readHello(conn net.Conn, scanner *bufio.Scanner) error {
+	if err := conn.SetReadDeadline(time.Now().Add(helloTimeout)); err != nil {
+		return err
+	}
+	if !scanner.Scan() {
+		if err := scanner.Err(); err != nil {
+			return err
+		}
+		return io.ErrUnexpectedEOF
+	}
+	if scanner.Text() != hubHello {
+		return fmt.Errorf("unexpected greeting %q", scanner.Text())
+	}
+	return conn.SetReadDeadline(time.Time{})
+}
+
+func (t *TCPTransport) read(scanner *bufio.Scanner) {
 	defer close(t.done)
-	scanner := bufio.NewScanner(t.conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for scanner.Scan() {
 		var sp SharedPolicy
 		if err := json.Unmarshal(scanner.Bytes(), &sp); err != nil {

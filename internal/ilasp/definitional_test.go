@@ -18,7 +18,7 @@ import (
 // compare the learner's answer with the best score.
 
 // Candidate rules a fuzzed task draws from. Heads (h, g, q) occur in no
-// body, constraints included, so every drawn space is independent.
+// body, constraints included, so a space drawn from them is independent.
 var defTemplates = []string{
 	"h :- a.",
 	"h :- b.",
@@ -39,6 +39,19 @@ var defTemplates = []string{
 	":- p(X), X > 1.",
 }
 
+// depTemplates follow defTemplates in the draw when flags bit 6 is set:
+// rules that read or negate other candidates' heads, and choice rules.
+// A space with a choice rule, or with a rule reading a head another
+// candidate defines, is served by the re-solve path alone.
+var depTemplates = []string{
+	"h :- g.",
+	"g :- h, b.",
+	"h :- not g.",
+	"g :- not h.",
+	"{h} :- a.",
+	"{g; q(1)}.",
+}
+
 var (
 	// defTargets are the atoms inclusions and exclusions draw from.
 	defTargets = []string{"h", "g", "q(1)", "q(2)", "a", "b"}
@@ -50,9 +63,10 @@ var (
 	defBackgrounds = []string{"", "b :- a.", "{c}.", ":- c."}
 )
 
-// decodeLearnTask decodes a small independent task: at most 6 candidates
-// with costs 0–3 and at most 4 examples of mixed polarity with weights
-// 0–3. Missing bytes read as zero.
+// decodeLearnTask decodes a small task: at most 6 candidates with costs
+// 0–3, drawn from defTemplates (followed by depTemplates when flags bit 6
+// is set), and at most 4 examples of mixed polarity with weights 0–3.
+// Missing bytes read as zero.
 func decodeLearnTask(t *testing.T, data []byte) (*Task, LearnOptions) {
 	t.Helper()
 	next := func() int {
@@ -79,8 +93,12 @@ func decodeLearnTask(t *testing.T, data []byte) (*Task, LearnOptions) {
 		Parallelism: 1 + (flags>>3)&1,
 	}
 	task := &Task{Background: prog(t, defBackgrounds[(flags>>4)%len(defBackgrounds)])}
+	templates := defTemplates
+	if flags&0x40 != 0 {
+		templates = append(templates[:len(templates):len(templates)], depTemplates...)
+	}
 	for n := next() % 7; n > 0; n-- {
-		r, err := asp.ParseRule(defTemplates[next()%len(defTemplates)])
+		r, err := asp.ParseRule(templates[next()%len(templates)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,10 +223,10 @@ func (tab *defTable) check(task *Task, opts LearnOptions, res *Result, err error
 }
 
 // learnResolve is Learn on the re-solve path: the wrapper hides the
-// oracle's Decomposer methods, so coverage comes from the ground-once
-// engine, never from signatures.
+// oracle's Decomposer methods, so coverage comes from Task.Covers,
+// never from signatures.
 func learnResolve(task *Task, opts LearnOptions) (*Result, error) {
-	o := struct{ Oracle }{newTaskOracle(task, task.Space)}
+	o := struct{ Oracle }{&taskOracle{task: task, space: task.Space}}
 	sol, err := Search(o, ExampleWeights(task.Examples), opts)
 	if err != nil {
 		return nil, err
@@ -240,11 +258,31 @@ func singleBase(t *testing.T, task *Task) bool {
 	return true
 }
 
+// readsCandidateHead reports whether a candidate's body reads or negates
+// the head predicate of a candidate in the space.
+func readsCandidateHead(space []Candidate) bool {
+	heads := map[string]bool{}
+	for _, c := range space {
+		if c.Rule.Head != nil {
+			heads[c.Rule.Head.Predicate] = true
+		}
+	}
+	for _, c := range space {
+		for _, l := range c.Rule.Body {
+			if !l.IsCmp && heads[l.Atom.Predicate] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzLearnDefinitional checks both learners against brute force: Learn
 // on the signature path and on the re-solve path, and LearnIndependent
 // on positive-only tasks, must reach the optimum objective with Covered
 // equal to Task.Covers on the returned hypothesis. LearnIndependent must
-// refuse spaces with constraints.
+// refuse spaces with constraints, choice rules, or candidates that read
+// other candidates' heads.
 func FuzzLearnDefinitional(f *testing.F) {
 	seeds := [][]byte{
 		{},
@@ -270,6 +308,13 @@ func FuzzLearnDefinitional(f *testing.F) {
 		{4, 3, 0, 1, 14, 1, 16, 1, 3, 0x28, 1, 0, 0x19, 1, 0, 0x88, 1, 0},
 		// Noisy: :- c, not b. against soft examples of both polarities.
 		{3, 2, 15, 1, 10, 2, 3, 0x23, 0, 0, 0x22, 0, 0, 0x2b, 8, 0},
+		// Recursive: h :- g. and g :- h, b. form a positive cycle, the
+		// optimum chains h :- a. into g :- h, b., and LearnIndependent
+		// must refuse the space.
+		{0x40, 4, 17, 1, 18, 1, 0, 1, 6, 2, 3, 25, 3, 0, 9, 1, 2, 17, 0, 1},
+		// Choice: {h} :- a. and {g; q(1)}. are both needed, for one
+		// answer set with h and one without, and for g with q(1).
+		{0x40, 3, 21, 1, 22, 1, 0, 1, 3, 9, 1, 0, 9, 0, 1, 1, 6, 0},
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -297,10 +342,16 @@ func FuzzLearnDefinitional(f *testing.F) {
 		for _, c := range task.Space {
 			if c.Rule.Head == nil {
 				if err == nil || !strings.Contains(err.Error(), "requires headed candidates") {
-					t.Fatalf("LearnIndependent on a space with constraint %s: %v, %v", c.Rule.String(), res, err)
+					t.Fatalf("LearnIndependent on a space with headless candidate %s: %v, %v", c.Rule.String(), res, err)
 				}
 				return
 			}
+		}
+		if readsCandidateHead(task.Space) {
+			if err == nil {
+				t.Fatalf("LearnIndependent on a dependent space: %v", res)
+			}
+			return
 		}
 		if !singleBase(t, task) {
 			if err == nil || !strings.Contains(err.Error(), "needs exactly 1") {

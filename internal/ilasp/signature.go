@@ -201,8 +201,8 @@ type Decomposer interface {
 // them: the first failing example's base-model error, unless a candidate
 // evaluation fails on an earlier example (then the first such
 // candidate's error). Search counts the error as a fallback and runs
-// the re-solve path, which then reproduces the engine's lazy error
-// behaviour exactly.
+// the re-solve path, where Task.Covers meets any such error lazily, at
+// the first check that reaches it.
 //
 // Evaluation fans out once, on par workers (GOMAXPROCS when 0), sharded
 // by candidate so each worker owns disjoint signature rows and its own

@@ -114,7 +114,7 @@ func TestSignatureDifferential(t *testing.T) {
 			// re-solves every check.
 			run := func(resolve bool, par int) (*Solution, error) {
 				task := sigTask(t, weight)
-				var o Oracle = newTaskOracle(task, task.Space)
+				var o Oracle = &taskOracle{task: task, space: task.Space}
 				if resolve {
 					o = struct{ Oracle }{o}
 				}
@@ -166,11 +166,11 @@ func TestSignatureBudgetDifferential(t *testing.T) {
 		opts := LearnOptions{MaxRules: 3, MaxChecks: budget}
 
 		task := sigTask(t, 0)
-		ref := struct{ Oracle }{newTaskOracle(task, task.Space)}
+		ref := struct{ Oracle }{&taskOracle{task: task, space: task.Space}}
 		_, wantErr := Search(ref, ExampleWeights(task.Examples), opts)
 
 		task2 := sigTask(t, 0)
-		sig := newTaskOracle(task2, task2.Space)
+		sig := &taskOracle{task: task2, space: task2.Space}
 		_, gotErr := Search(sig, ExampleWeights(task2.Examples), opts)
 
 		if !errors.Is(wantErr, ErrCheckBudget) || !errors.Is(gotErr, ErrCheckBudget) {
@@ -183,7 +183,7 @@ func TestSignatureBudgetDifferential(t *testing.T) {
 // costlier duplicate is collapsed away and never chosen.
 func TestSignatureClasses(t *testing.T) {
 	task := sigTask(t, 0)
-	o := newTaskOracle(task, task.Space)
+	o := &taskOracle{task: task, space: task.Space}
 	sol, err := Search(o, ExampleWeights(task.Examples), LearnOptions{MaxRules: 3})
 	if err != nil {
 		t.Fatal(err)

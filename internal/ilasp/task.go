@@ -194,8 +194,7 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := newTaskOracle(t, space)
-	sol, err := Search(oracle, ExampleWeights(t.Examples), opts)
+	sol, err := Search(&taskOracle{task: t, space: space}, ExampleWeights(t.Examples), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -214,19 +213,18 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 	}, nil
 }
 
-// taskOracle adapts a Task to the generic search engine: a ground-once
-// coverage engine, safe for the search's concurrent Covers calls
-// (distinct example indices). There is no verdict memo: a search checks
-// each hypothesis at most once, and every Learn builds a fresh oracle.
+// taskOracle adapts a Task to the generic search engine. Covers is
+// Task.Covers on the chosen candidates' rules: it grounds and solves
+// background ∪ H ∪ context afresh, so it is safe for the search's
+// concurrent calls. There is no verdict memo: a search checks each
+// hypothesis at most once, and every Learn builds a fresh oracle.
 //
 // It is also the task's Decomposer: when the task is independent (see
 // vectorize), the search reads per-candidate coverage signatures and
-// never calls Covers at all. LearnIndependent builds one without an
-// engine, for the signatures alone.
+// never calls Covers at all.
 type taskOracle struct {
-	task   *Task
-	space  []Candidate
-	engine *coverageEngine
+	task  *Task
+	space []Candidate
 
 	// rules are the space's rules, each candidate's one instance in
 	// every example; set by Decompose.
@@ -236,14 +234,14 @@ type taskOracle struct {
 var _ Oracle = (*taskOracle)(nil)
 var _ Decomposer = (*taskOracle)(nil)
 
-func newTaskOracle(t *Task, space []Candidate) *taskOracle {
-	return &taskOracle{task: t, space: space, engine: newCoverageEngine(t, space)}
-}
-
 func (o *taskOracle) Candidates() []Candidate { return o.space }
 
 func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
-	return o.engine.covers(chosen, exampleIdx)
+	h := make([]asp.Rule, len(chosen))
+	for i, ci := range chosen {
+		h[i] = o.space[ci].Rule
+	}
+	return o.task.Covers(h, o.task.Examples[exampleIdx])
 }
 
 // Decompose admits independent tasks (checkIndependence); an example's
