@@ -376,12 +376,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// Party A generates its policies under its (permissive) context and
 	// shares them with the coalition.
 	lead := members[0]
-	accepted, rejected, err := lead.AMS.Regenerate()
+	generated, _, err := lead.AMS.Regenerate()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%s generated %d policies (%d rejected by own PCP)\n",
-		lead.AMS.Name(), len(accepted), len(rejected))
+	fmt.Fprintf(stdout, "%s generated %d policies\n", lead.AMS.Name(), len(generated))
 	if err := lead.SharePolicies(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package agenp
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +234,31 @@ func TestImportShared(t *testing.T) {
 	}
 }
 
+// TestImportSharedKeysByText: a shared policy is keyed by its text, so a
+// peer that sends "accept park" under the ID of the local
+// "reject overtake" cannot overwrite it and flip the overtake decision.
+func TestImportSharedKeysByText(t *testing.T) {
+	ctx := &dynamicContext{}
+	ctx.set(t, "weather(clear).")
+	ams := newTestAMS(t, ctx)
+	if _, _, err := ams.Regenerate(); err != nil {
+		t.Fatal(err)
+	}
+	shared := policy.Policy{ID: "reject_overtake", Tokens: []string{"accept", "park"}}
+	if err := ams.ImportShared(shared, "cav-2"); err != nil {
+		t.Fatal(err)
+	}
+	if d, pid, err := ams.Decide(actionReq("overtake")); err != nil || d != xacml.DecisionDeny || pid != "reject_overtake" {
+		t.Errorf("Decide(overtake) = %v by %q (%v), want Deny by reject_overtake", d, pid, err)
+	}
+	if p, ok := ams.Repository().Get("reject_overtake"); !ok || p.Text() != "reject overtake" || p.Source != policy.SourceGenerated {
+		t.Errorf("local reject_overtake = %+v, %v", p, ok)
+	}
+	if p, ok := ams.Repository().Get("accept_park"); !ok || p.Source != policy.SourceShared || p.Origin != "cav-2" {
+		t.Errorf("shared accept park = %+v, %v", p, ok)
+	}
+}
+
 func TestRunRegeneratesOnContextChange(t *testing.T) {
 	ctx := &dynamicContext{}
 	ctx.set(t, "weather(clear).")
@@ -284,22 +310,58 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestPIPChangeDetection: the Run loop regenerates on a context change
+// even when Enforce or ImportShared reads the new context first, so the
+// old context's policies do not stay installed.
 func TestPIPChangeDetection(t *testing.T) {
-	ctx := &dynamicContext{}
-	ctx.set(t, "weather(clear).")
-	pip := NewPIP(ctx)
-	_, changed := pip.Acquire()
-	if !changed {
-		t.Error("first acquisition should report change")
+	const rainGrammar = `
+policy -> "accept" task { :- task(overtake)@2, weather(rain). }
+policy -> "reject" task
+task -> "overtake" { task(overtake). }
+task -> "park" { task(park). }
+`
+	readers := map[string]func(*AMS) error{
+		"Enforce": func(a *AMS) error { return a.Enforce(actionReq("park")).Err },
+		"ImportShared": func(a *AMS) error {
+			return a.ImportShared(policy.Policy{Tokens: []string{"accept", "park"}}, "cav-2")
+		},
 	}
-	_, changed = pip.Acquire()
-	if changed {
-		t.Error("unchanged context reported as changed")
-	}
-	ctx.set(t, "weather(rain).")
-	_, changed = pip.Acquire()
-	if !changed {
-		t.Error("changed context not detected")
+	for name, read := range readers {
+		t.Run(name, func(t *testing.T) {
+			ctx := &dynamicContext{}
+			ctx.set(t, "weather(clear).")
+			model, err := core.ParseGPM(rainGrammar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ams, err := New(Config{Name: "cav-1", Model: model, Context: ctx, Interpreter: &TokenInterpreter{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ams.Regenerate(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ams.Repository().Get("accept_overtake"); !ok {
+				t.Fatal("accept_overtake not generated in clear weather")
+			}
+			ams.Run(50 * time.Millisecond)
+			defer ams.Shutdown()
+
+			ctx.set(t, "weather(rain).")
+			if err := read(ams); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for ams.Stats().Regenerations < 2 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := ams.Stats().Regenerations; got < 2 {
+				t.Fatalf("context change read by %s first: %d regenerations, want 2", name, got)
+			}
+			if _, ok := ams.Repository().Get("accept_overtake"); ok {
+				t.Error("accept_overtake from the clear context still installed in rain")
+			}
+		})
 	}
 }
 
@@ -352,23 +414,34 @@ func TestTokenInterpreter(t *testing.T) {
 	}
 }
 
+// TestPCPFilterAndValidators: regeneration installs every policy the
+// model generates, with no second check, and the PCP vets imports: a
+// string outside the GPM's language is rejected with the membership
+// error.
 func TestPCPFilterAndValidators(t *testing.T) {
-	rejectLong := ValidatorFunc(func(p policy.Policy, _ *asp.Program) error {
-		if len(p.Tokens) > 2 {
-			return errors.New("too long")
-		}
-		return nil
-	})
-	pcp := NewPCP(rejectLong)
-	accepted, rejected := pcp.Filter([]policy.Policy{
-		{ID: "ok", Tokens: []string{"a", "b"}},
-		{ID: "bad", Tokens: []string{"a", "b", "c"}},
-	}, nil)
-	if len(accepted) != 1 || accepted[0].ID != "ok" {
-		t.Errorf("accepted = %v", accepted)
+	ctx := &dynamicContext{}
+	ctx.set(t, "weather(clear).")
+	ams := newTestAMS(t, ctx)
+	generated, err := ams.Models().Latest().Generate(ctx.Current())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rejected) != 1 || rejected["bad"] == nil {
-		t.Errorf("rejected = %v", rejected)
+	installed, rejected, err := ams.Regenerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rejected != nil {
+		t.Errorf("Regenerate rejected %v", rejected)
+	}
+	if !reflect.DeepEqual(installed, generated) {
+		t.Errorf("installed %v, generated %v", installed, generated)
+	}
+	if got := ams.Repository().Snapshot().Policies; len(got) != len(generated) {
+		t.Errorf("repository holds %d policies, %d generated", len(got), len(generated))
+	}
+	err = ams.ImportShared(policy.Policy{Tokens: []string{"reject", "fly"}}, "cav-2")
+	if err == nil || !strings.Contains(err.Error(), `"reject fly" not in GPM language for current context`) {
+		t.Errorf("out-of-language import: %v", err)
 	}
 }
 

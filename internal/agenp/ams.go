@@ -10,7 +10,6 @@ import (
 	"agenp/internal/aspcheck"
 	"agenp/internal/core"
 	"agenp/internal/engine"
-	"agenp/internal/ilasp"
 	"agenp/internal/obs"
 	"agenp/internal/polcheck"
 	"agenp/internal/policy"
@@ -29,34 +28,23 @@ type Config struct {
 	Space []asg.HypothesisRule
 	// Context supplies the operating context (PIP source).
 	Context ContextProvider
-	// Interpreter maps generated policies to request decisions.
+	// Interpreter compiles generated policies into request decisions
+	// and renders them for the symbolic verifier.
 	Interpreter Interpreter
 	// Effector executes decisions on the managed resources.
 	Effector Effector
-	// Validators vet generated and shared policies (PCP). A
-	// MembershipValidator over the representations repository is always
-	// prepended.
-	Validators []Validator
 	// AdaptThreshold is the number of observed violations that triggers
 	// adaptation (default 3).
 	AdaptThreshold int
-	// LearnOptions passes through to the learner during adaptation.
-	LearnOptions ilasp.LearnOptions
-	// MonitorCapacity bounds the decision log (default 1024).
-	MonitorCapacity int
 	// VerifyPolicies turns on the symbolic verification gate:
 	// regenerations and shared-policy imports that would introduce a
 	// permit/deny conflict absent from the installed generation are
-	// rejected. Requires a policy-set view, from Adapter or an
-	// Interpreter implementing PolicySetAdapter.
+	// rejected.
 	VerifyPolicies bool
-	// Adapter renders repository snapshots as XACML policy sets for
-	// verification; when nil, the Interpreter is used if it implements
-	// PolicySetAdapter.
-	Adapter PolicySetAdapter
-	// VerifyOptions tunes the symbolic analyzer (zero value: defaults).
-	VerifyOptions polcheck.Options
 }
+
+// monitorCapacity bounds the decision log.
+const monitorCapacity = 1024
 
 // AMS is an autonomous managed system: the full Figure 2 assembly.
 type AMS struct {
@@ -66,20 +54,20 @@ type AMS struct {
 	models   *core.Representations
 	repo     *policy.Repository
 	log      *policy.MonitorLog
-	pip      *PIP
-	pcp      *PCP
+	context  ContextProvider
+	interp   Interpreter
 	pdp      *PDP
 	pep      *PEP
 	space    []asg.HypothesisRule
-	learn    ilasp.LearnOptions
 	feedback []core.Feedback
 	learned  []asg.HypothesisRule // accumulated across adaptations
 	adaptAt  int
+	// regenKey is the ContextKey of the context the last regeneration
+	// attempt ran under; Run regenerates when the current key differs.
+	regenKey string
 
 	// symbolic verification gate (see verify.go)
 	verify         bool
-	verifyAdapter  PolicySetAdapter
-	verifyOpts     polcheck.Options
 	verifyBaseline map[string]bool
 	lastVerify     *polcheck.Report
 
@@ -110,44 +98,22 @@ func New(cfg Config) (*AMS, error) {
 	if adaptAt <= 0 {
 		adaptAt = 3
 	}
-	monCap := cfg.MonitorCapacity
-	if monCap <= 0 {
-		monCap = 1024
-	}
 
-	models := core.NewRepresentations(cfg.Model)
 	repo := policy.NewRepository()
-	log := policy.NewMonitorLog(monCap)
-	validators := append([]Validator{&MembershipValidator{Models: models}}, cfg.Validators...)
-	pcp := NewPCP(validators...)
+	log := policy.NewMonitorLog(monitorCapacity)
 	pdp := NewPDP(repo, cfg.Interpreter)
-	pep := NewPEP(pdp, cfg.Effector, log)
-
-	adapter := cfg.Adapter
-	if adapter == nil {
-		if ad, ok := cfg.Interpreter.(PolicySetAdapter); ok {
-			adapter = ad
-		}
-	}
-	if cfg.VerifyPolicies && adapter == nil {
-		return nil, fmt.Errorf("agenp: VerifyPolicies needs a policy-set adapter (Config.Adapter or an Interpreter implementing PolicySetAdapter)")
-	}
-
 	return &AMS{
 		name:           cfg.Name,
-		models:         models,
+		models:         core.NewRepresentations(cfg.Model),
 		repo:           repo,
 		log:            log,
-		pip:            NewPIP(cfg.Context),
-		pcp:            pcp,
+		context:        cfg.Context,
+		interp:         cfg.Interpreter,
 		pdp:            pdp,
-		pep:            pep,
+		pep:            NewPEP(pdp, cfg.Effector, log),
 		space:          cfg.Space,
-		learn:          cfg.LearnOptions,
 		adaptAt:        adaptAt,
 		verify:         cfg.VerifyPolicies,
-		verifyAdapter:  adapter,
-		verifyOpts:     cfg.VerifyOptions,
 		verifyBaseline: make(map[string]bool),
 	}, nil
 }
@@ -172,9 +138,6 @@ func (a *AMS) Models() *core.Representations { return a.models }
 // MonitorLog exposes the decision history.
 func (a *AMS) MonitorLog() *policy.MonitorLog { return a.log }
 
-// PCP exposes the policy checking point.
-func (a *AMS) PCP() *PCP { return a.pcp }
-
 // Adaptations returns how many times the model was evolved.
 func (a *AMS) Adaptations() int {
 	a.mu.Lock()
@@ -182,18 +145,23 @@ func (a *AMS) Adaptations() int {
 	return a.adaptations
 }
 
-// Regenerate runs the PReP flow: acquire the context, generate the
-// policies of the current GPM under it, vet them through the PCP, and
-// install the survivors in the policy repository. It returns the
-// accepted policies and the PCP rejections.
+// Regenerate runs the PReP flow: read the context, generate the policies
+// of the current GPM under it, and install them in the policy repository.
+// It returns the installed policies. The second result, rejections by
+// policy ID, is always nil: every generated string comes with a parse
+// tree whose program has an answer set, so it is in the GPM's language
+// by Definition 1 and nothing is rejected. It stays so that callers
+// destructuring three results keep compiling.
 func (a *AMS) Regenerate() ([]policy.Policy, map[string]error, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.regenerateLocked()
+	generated, err := a.regenerateLocked()
+	return generated, nil, err
 }
 
-func (a *AMS) regenerateLocked() ([]policy.Policy, map[string]error, error) {
-	ctx, _ := a.pip.Acquire()
+func (a *AMS) regenerateLocked() ([]policy.Policy, error) {
+	ctx := a.context.Current()
+	a.regenKey = ContextKey(ctx)
 	model := a.models.Latest()
 	// Static analysis gate: a model whose grammar has error-severity
 	// findings (unsafe annotation variables, parse-level damage) would
@@ -201,33 +169,29 @@ func (a *AMS) regenerateLocked() ([]policy.Policy, map[string]error, error) {
 	// from it and keep the repository on the previous generation.
 	if findings := model.Lint(ctx); findings.HasErrors() {
 		errs := findings.Filter(aspcheck.Error)
-		return nil, nil, fmt.Errorf("agenp: PReP lint: model rejected (%s): %s", findings.Summary(), errs[0])
+		return nil, fmt.Errorf("agenp: PReP lint: model rejected (%s): %s", findings.Summary(), errs[0])
 	}
 	generated, err := model.Generate(ctx)
 	if err != nil {
-		return nil, nil, fmt.Errorf("agenp: PReP generation: %w", err)
+		return nil, fmt.Errorf("agenp: PReP generation: %w", err)
 	}
-	t0 := time.Now()
-	accepted, rejected := a.pcp.Filter(generated, ctx)
-	statFilterDur.ObserveSince(t0)
 	// Symbolic verification gate: refuse to install a generation that
 	// introduces a permit/deny conflict the current one does not have.
 	// The repository stays on the previous generation, like a lint veto.
-	if err := a.verifyCandidateLocked(accepted, "PReP"); err != nil {
-		return nil, rejected, err
+	if err := a.verifyCandidateLocked(generated, "PReP"); err != nil {
+		return nil, err
 	}
-	a.repo.ReplaceAll(accepted)
+	a.repo.ReplaceAll(generated)
 	// Eagerly recompile the decision engine so the swap cost lands here,
 	// at the (rare) regeneration, not on the first request after it.
 	if err := a.pdp.Refresh(); err != nil {
-		return nil, nil, fmt.Errorf("agenp: PReP recompile: %w", err)
+		return nil, fmt.Errorf("agenp: PReP recompile: %w", err)
 	}
 	a.regenerated++
 	statRegens.Inc()
 	statGenerated.Add(int64(len(generated)))
-	statAccepted.Add(int64(len(accepted)))
-	statRejected.Add(int64(len(rejected)))
-	return accepted, rejected, nil
+	statAccepted.Add(int64(len(generated)))
+	return generated, nil
 }
 
 // Decide runs the PDP flow on a request under the current policies.
@@ -250,7 +214,7 @@ func (a *AMS) Engine() *engine.Engine { return a.pdp.Engine() }
 // Enforce runs the PDP+PEP flow and records monitoring history.
 func (a *AMS) Enforce(req xacml.Request) Outcome {
 	a.mu.Lock()
-	ctx, _ := a.pip.Acquire()
+	ctx := a.context.Current()
 	a.mu.Unlock()
 	return a.pep.Enforce(req, ctx)
 }
@@ -292,7 +256,7 @@ func (a *AMS) adaptLocked() error {
 	sp := obs.StartSpan("agenp.adapt")
 	defer sp.End()
 	examples := core.ExamplesFromFeedback(a.feedback)
-	evo, err := a.models.Latest().Evolve(a.space, examples, core.EvolveOptions{Learn: a.learn})
+	evo, err := a.models.Latest().Evolve(a.space, examples, core.EvolveOptions{})
 	if err != nil {
 		return fmt.Errorf("agenp: PAdaP adaptation: %w", err)
 	}
@@ -301,27 +265,30 @@ func (a *AMS) adaptLocked() error {
 	a.adaptations++
 	statAdaptations.Inc()
 	a.feedback = a.feedback[:0]
-	_, _, err = a.regenerateLocked()
+	_, err = a.regenerateLocked()
 	return err
 }
 
 // ImportShared vets a policy shared by another coalition party through
-// the PCP and installs it when acceptable (the CASWiki-style shared
-// policy flow of Section III.A.3).
+// the PCP — membership in the language of the current GPM under the
+// current context — and installs it when acceptable (the CASWiki-style
+// shared policy flow of Section III.A.3). The policy is keyed by its
+// text, as generated policies are, whatever ID the sender gave it, so a
+// peer cannot overwrite a different local policy by reusing its ID.
 func (a *AMS) ImportShared(p policy.Policy, origin string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ctx, _ := a.pip.Acquire()
+	p.ID = core.PolicyID(p.Tokens)
 	p.Source = policy.SourceShared
 	p.Origin = origin
-	if p.ID == "" {
-		p.ID = core.PolicyID(p.Tokens)
-	}
 	t0 := time.Now()
-	err := a.pcp.Check(p, ctx)
+	ok, err := a.models.Latest().Validate(p.Tokens, a.context.Current())
 	statCheckDur.ObserveSince(t0)
 	if err != nil {
-		return err
+		return fmt.Errorf("agenp: membership check: %w", err)
+	}
+	if !ok {
+		return fmt.Errorf("agenp: policy %q not in GPM language for current context", p.Text())
 	}
 	// Symbolic verification gate: vet the post-import snapshot before
 	// adopting the shared policy, so a partner cannot push us into a
@@ -361,10 +328,10 @@ func (a *AMS) FeedbackFromViolations(resolve func(contextKey string) *asp.Progra
 	return out
 }
 
-// Run starts the autonomic loop: on every tick the PIP is polled and, if
-// the context changed, policies are regenerated (Section III.A: "Such an
-// update would be triggered if ... there has been a change in context").
-// Stop with Shutdown.
+// Run starts the autonomic loop: on every tick the context is polled and,
+// if it differs from the one the last regeneration ran under, policies
+// are regenerated (Section III.A: "Such an update would be triggered if
+// ... there has been a change in context"). Stop with Shutdown.
 func (a *AMS) Run(interval time.Duration) {
 	a.mu.Lock()
 	if a.stop != nil {
@@ -384,9 +351,11 @@ func (a *AMS) Run(interval time.Duration) {
 			select {
 			case <-ticker.C:
 				a.mu.Lock()
-				_, changed := a.pip.Acquire()
-				if changed {
-					_, _, _ = a.regenerateLocked()
+				if ContextKey(a.context.Current()) != a.regenKey {
+					// A failed attempt keeps the previous generation
+					// serving and is not retried until the context
+					// changes again.
+					_, _ = a.regenerateLocked()
 				}
 				a.mu.Unlock()
 			case <-stop:

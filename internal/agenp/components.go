@@ -8,12 +8,10 @@
 package agenp
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
 	"agenp/internal/asp"
-	"agenp/internal/core"
 	"agenp/internal/engine"
 	"agenp/internal/policy"
 	"agenp/internal/xacml"
@@ -56,151 +54,38 @@ func ContextKey(p *asp.Program) string {
 	return strings.Join(lines, "\n")
 }
 
-// PIP caches the latest context from a provider and reports changes.
-type PIP struct {
-	provider ContextProvider
-	lastKey  string
-}
-
-// NewPIP wraps a provider.
-func NewPIP(p ContextProvider) *PIP {
-	return &PIP{provider: p}
-}
-
-// Acquire fetches the current context and reports whether it changed
-// since the previous acquisition.
-func (p *PIP) Acquire() (*asp.Program, bool) {
-	ctx := p.provider.Current()
-	key := ContextKey(ctx)
-	changed := key != p.lastKey
-	p.lastKey = key
-	return ctx, changed
-}
-
-// Validator checks one generated or shared policy; a non-nil error marks
-// the policy invalid (the PCP's Violation Detector role).
-type Validator interface {
-	// Check returns nil when the policy is acceptable in the context.
-	Check(p policy.Policy, ctx *asp.Program) error
-}
-
-// ValidatorFunc adapts a function to Validator.
-type ValidatorFunc func(p policy.Policy, ctx *asp.Program) error
-
-// Check implements Validator.
-func (f ValidatorFunc) Check(p policy.Policy, ctx *asp.Program) error { return f(p, ctx) }
-
-// MembershipValidator accepts policies that are in the language of the
-// GPM under the context — the natural validity notion for ASG-based
-// GPMs, also used to vet policies shared by other coalition parties.
-type MembershipValidator struct {
-	Models *core.Representations
-}
-
-var _ Validator = (*MembershipValidator)(nil)
-
-// Check implements Validator.
-func (v *MembershipValidator) Check(p policy.Policy, ctx *asp.Program) error {
-	ok, err := v.Models.Latest().Validate(p.Tokens, ctx)
-	if err != nil {
-		return fmt.Errorf("agenp: membership check: %w", err)
-	}
-	if !ok {
-		return fmt.Errorf("agenp: policy %q not in GPM language for current context", p.Text())
-	}
-	return nil
-}
-
-// PCP is the Policy Checking Point: it runs every validator over a
-// policy (violation detection) and exposes quality assessment hooks.
-type PCP struct {
-	validators []Validator
-}
-
-// NewPCP builds a PCP from validators.
-func NewPCP(validators ...Validator) *PCP {
-	return &PCP{validators: validators}
-}
-
-// Check runs all validators; the first error is returned.
-func (c *PCP) Check(p policy.Policy, ctx *asp.Program) error {
-	for _, v := range c.validators {
-		if err := v.Check(p, ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Filter partitions policies into accepted and rejected (with reasons).
-func (c *PCP) Filter(ps []policy.Policy, ctx *asp.Program) (accepted []policy.Policy, rejected map[string]error) {
-	rejected = make(map[string]error)
-	for _, p := range ps {
-		if err := c.Check(p, ctx); err != nil {
-			rejected[p.ID] = err
-			continue
-		}
-		accepted = append(accepted, p)
-	}
-	return accepted, rejected
-}
-
 // Interpreter turns the repository's generated policies into decisions
-// for concrete requests. The mapping from policy strings to decisions is
+// for concrete requests: it compiles them into the decision program the
+// PDP serves, and renders them as an XACML policy set for the symbolic
+// verifier. The mapping from policy strings to decisions is
 // domain-specific; each application (CAV, resupply, data sharing)
 // supplies its own. The policies slice is the repository's immutable
-// snapshot storage: implementations must not mutate or retain it.
+// snapshot storage: implementations must not mutate it.
 type Interpreter interface {
-	// Decide returns the decision and the id of the policy that
-	// determined it ("" when no policy applies).
-	Decide(policies []policy.Policy, req xacml.Request) (xacml.Decision, string)
-}
-
-// DeciderCompiler is optionally implemented by Interpreters that can
-// compile a policy set into a standalone decision program once per
-// generation instead of re-interpreting it per request. The PDP uses the
-// compiled path when available.
-type DeciderCompiler interface {
+	// CompileDecider compiles one policy snapshot into a standalone
+	// decision program, once per repository generation (an
+	// engine.CompileFunc).
 	CompileDecider(policies []policy.Policy) (engine.Decider, error)
+	// PolicySetOf renders a snapshot as an XACML policy set with the
+	// same decisions, for the verification gate and VerifySnapshot.
+	PolicySetOf(policies []policy.Policy) (*xacml.PolicySet, error)
 }
 
 // ErrNoPolicy is reported when the PDP has no applicable policy. It is
 // the engine's sentinel: the no-policy decision path does not allocate.
 var ErrNoPolicy = engine.ErrNoPolicy
 
-// interpreterDecider adapts a plain Interpreter to the engine's Decider
-// over one frozen policy snapshot: the slice is captured at compile time,
-// so serving performs no repository reads or copies.
-type interpreterDecider struct {
-	in       Interpreter
-	policies []policy.Policy
-}
-
-func (d interpreterDecider) Decide(req xacml.Request) (xacml.Decision, string) {
-	return d.in.Decide(d.policies, req)
-}
-
 // PDP is the Policy Decision Point. It serves requests from a compiled
-// DecisionEngine snapshot: the policy set is compiled once per
-// repository generation (by the interpreter's DeciderCompiler when
-// implemented, otherwise by freezing the snapshot under the plain
-// Interpreter) and hot-swapped atomically on regeneration, so Decide
-// never copies the repository or takes its lock.
+// DecisionEngine snapshot: the interpreter compiles the policy set once
+// per repository generation, and the result is hot-swapped atomically on
+// regeneration, so Decide never copies the repository or takes its lock.
 type PDP struct {
-	repo        *policy.Repository
-	interpreter Interpreter
-	engine      *engine.Engine
+	engine *engine.Engine
 }
 
 // NewPDP builds a PDP.
 func NewPDP(repo *policy.Repository, in Interpreter) *PDP {
-	compile := func(policies []policy.Policy) (engine.Decider, error) {
-		if c, ok := in.(DeciderCompiler); ok {
-			return c.CompileDecider(policies)
-		}
-		return interpreterDecider{in: in, policies: policies}, nil
-	}
-	return &PDP{repo: repo, interpreter: in, engine: engine.New(repo, compile)}
+	return &PDP{engine: engine.New(repo, in.CompileDecider)}
 }
 
 // Engine exposes the underlying decision engine (generation inspection,

@@ -28,10 +28,7 @@ type TokenInterpreter struct {
 	deny   map[string]bool
 }
 
-var (
-	_ Interpreter     = (*TokenInterpreter)(nil)
-	_ DeciderCompiler = (*TokenInterpreter)(nil)
-)
+var _ Interpreter = (*TokenInterpreter)(nil)
 
 func (t *TokenInterpreter) permitVerbs() []string {
 	if len(t.PermitVerbs) > 0 {
@@ -64,7 +61,9 @@ func verbSet(verbs []string) map[string]bool {
 	return m
 }
 
-// Decide implements Interpreter.
+// Decide is the reference semantics of the token language: it interprets
+// the policy set on every call. The PDP serves CompileDecider's program
+// instead; tests and benchmarks compare that program against Decide.
 func (t *TokenInterpreter) Decide(policies []policy.Policy, req xacml.Request) (xacml.Decision, string) {
 	action, ok := req.Get(xacml.Action, "id")
 	if !ok {
@@ -95,7 +94,7 @@ func (t *TokenInterpreter) Decide(policies []policy.Policy, req xacml.Request) (
 	return decision, decider
 }
 
-// CompileDecider implements DeciderCompiler: the policy set collapses to
+// CompileDecider implements Interpreter: the policy set collapses to
 // one action-phrase hash lookup per request, with the deny-overrides
 // combining resolved at compile time.
 func (t *TokenInterpreter) CompileDecider(policies []policy.Policy) (engine.Decider, error) {

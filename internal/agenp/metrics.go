@@ -9,13 +9,11 @@ var (
 	statRegens      = obs.C("agenp.regenerations")
 	statGenerated   = obs.C("agenp.policies.generated")
 	statAccepted    = obs.C("agenp.policies.accepted")
-	statRejected    = obs.C("agenp.policies.rejected")
 	statAdaptations = obs.C("agenp.adaptations")
 
-	// PCP vetting latency: filter is the whole-generation batch during
-	// Regenerate; check is one shared policy during ImportShared.
-	statFilterDur = obs.H("agenp.pcp.filter.duration")
-	statCheckDur  = obs.H("agenp.pcp.check.duration")
+	// PCP vetting latency: one shared policy's membership check during
+	// ImportShared.
+	statCheckDur = obs.H("agenp.pcp.check.duration")
 
 	// Symbolic verification gate: candidate generations or imports
 	// rejected for introducing new permit/deny conflicts.

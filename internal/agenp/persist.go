@@ -58,6 +58,6 @@ func (a *AMS) RestoreHypothesis(h []asg.HypothesisRule) error {
 	restored.Grammar = grammar
 	a.models.Push(&restored)
 	a.learned = append(a.learned[:0], h...)
-	_, _, err = a.regenerateLocked()
+	_, err = a.regenerateLocked()
 	return err
 }

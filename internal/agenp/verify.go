@@ -17,16 +17,7 @@ import (
 // the gate on a noisy repository blocks regressions without bricking
 // the loop.
 
-// PolicySetAdapter renders a repository snapshot as an XACML policy set
-// so it can be verified symbolically. Interpreters whose policy
-// language has a faithful XACML reading implement it; the adapter must
-// preserve decision semantics (same request → same decision as the
-// interpreter) for gate verdicts to be meaningful.
-type PolicySetAdapter interface {
-	PolicySetOf(policies []policy.Policy) (*xacml.PolicySet, error)
-}
-
-// PolicySetOf implements PolicySetAdapter for the verb-object token
+// PolicySetOf implements Interpreter for the verb-object token
 // language: each policy becomes a one-rule XACML policy matching
 // action.id against the object phrase, and the interpreter's
 // deny-overrides conflict resolution becomes the set's combining
@@ -63,28 +54,18 @@ func (t *TokenInterpreter) PolicySetOf(policies []policy.Policy) (*xacml.PolicyS
 	return ps, nil
 }
 
-// adapter resolves the policy-set view: an explicit Config.Adapter
-// wins, otherwise an Interpreter that is also a PolicySetAdapter.
-func (a *AMS) adapterFor() PolicySetAdapter {
-	if a.verifyAdapter != nil {
-		return a.verifyAdapter
-	}
-	return nil
-}
-
 // verifyCandidate analyzes a candidate snapshot and rejects it when it
 // introduces conflict pairs absent from the baseline. On acceptance the
 // baseline and the last report advance. Callers hold a.mu.
 func (a *AMS) verifyCandidateLocked(candidate []policy.Policy, stage string) error {
-	ad := a.adapterFor()
-	if !a.verify || ad == nil {
+	if !a.verify {
 		return nil
 	}
-	ps, err := ad.PolicySetOf(candidate)
+	ps, err := a.interp.PolicySetOf(candidate)
 	if err != nil {
 		return fmt.Errorf("agenp: %s verify: %w", stage, err)
 	}
-	rep := polcheck.AnalyzeSet(ps, a.verifyOpts)
+	rep := polcheck.AnalyzeSet(ps, polcheck.Options{})
 	keys := rep.ConflictKeys()
 	var introduced []string
 	for k := range keys {
@@ -110,21 +91,16 @@ func (a *AMS) verifyCandidateLocked(candidate []policy.Policy, stage string) err
 }
 
 // VerifySnapshot runs the symbolic verifier over the currently
-// installed policy snapshot and returns the report. It requires a
-// policy-set adapter (Config.Adapter, or an Interpreter implementing
-// PolicySetAdapter) but not the VerifyPolicies gate.
+// installed policy snapshot and returns the report. It does not need the
+// VerifyPolicies gate.
 func (a *AMS) VerifySnapshot() (*polcheck.Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ad := a.adapterFor()
-	if ad == nil {
-		return nil, fmt.Errorf("agenp: no policy-set adapter configured for verification")
-	}
-	ps, err := ad.PolicySetOf(a.repo.Snapshot().Policies)
+	ps, err := a.interp.PolicySetOf(a.repo.Snapshot().Policies)
 	if err != nil {
 		return nil, fmt.Errorf("agenp: verify: %w", err)
 	}
-	rep := polcheck.AnalyzeSet(ps, a.verifyOpts)
+	rep := polcheck.AnalyzeSet(ps, polcheck.Options{})
 	a.lastVerify = rep
 	return rep, nil
 }

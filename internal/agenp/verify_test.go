@@ -121,8 +121,8 @@ func TestVerifyGateImportConflictAfterMembership(t *testing.T) {
 
 func TestVerifySnapshotOnDemand(t *testing.T) {
 	ams := newTestAMS(t, &StaticContext{})
-	// VerifyPolicies off: the on-demand report still works because the
-	// TokenInterpreter is a PolicySetAdapter.
+	// VerifyPolicies off: the on-demand report still works, through the
+	// Interpreter's policy-set view.
 	if _, _, err := ams.Regenerate(); err != nil {
 		t.Fatal(err)
 	}

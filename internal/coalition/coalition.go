@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"agenp/internal/agenp"
+	"agenp/internal/core"
 	"agenp/internal/obs"
 	"agenp/internal/policy"
 )
@@ -154,7 +155,9 @@ func (p *Party) consume() {
 	defer close(p.done)
 	for sp := range p.incoming {
 		t0 := time.Now()
-		err := p.AMS.ImportShared(policy.Policy{ID: sp.ID, Tokens: sp.Tokens}, sp.From)
+		// ImportShared keys the policy by its text; the publisher's ID is
+		// not trusted, here or in the audit event below.
+		err := p.AMS.ImportShared(policy.Policy{Tokens: sp.Tokens}, sp.From)
 		statVetDur.ObserveSince(t0)
 		p.mu.Lock()
 		if err != nil {
@@ -173,7 +176,7 @@ func (p *Party) consume() {
 			if err != nil {
 				kind = obs.EventImportRejected
 			}
-			rec.Event(kind, sp.ID, p.AMS.Engine().Generation(), time.Since(t0))
+			rec.Event(kind, core.PolicyID(sp.Tokens), p.AMS.Engine().Generation(), time.Since(t0))
 		}
 	}
 }
