@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"agenp/internal/apps/cav"
@@ -47,7 +45,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}
@@ -133,44 +131,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// startProfiles turns on the requested pprof outputs; the returned stop
-// function finishes the CPU profile and snapshots the heap (after a GC,
-// so the profile shows live objects rather than garbage).
-func startProfiles(cpuFile, memFile string) (func(), error) {
-	stop := func() {}
-	if cpuFile != "" {
-		f, err := os.Create(cpuFile)
-		if err != nil {
-			return stop, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memFile != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}
-	return stop, nil
 }
 
 func boolToWeight(noise bool) int {

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"agenp"
+	"agenp/internal/apps"
 	"agenp/internal/apps/cav"
 	"agenp/internal/ilasp"
 	"agenp/internal/mlbase"
@@ -85,8 +86,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tree := mlbase.TrainID3(cav.Instances(train), mlbase.TreeOptions{})
-	treeAcc := mlbase.Accuracy(tree, cav.Instances(test))
+	tree := mlbase.TrainID3(apps.Instances(train), mlbase.TreeOptions{})
+	treeAcc := mlbase.Accuracy(tree, apps.Instances(test))
 	fmt.Printf("from %d examples: symbolic %.3f vs decision tree %.3f\n", len(train), symAcc, treeAcc)
 	fmt.Println("learned driving policy rules:")
 	for _, r := range learned.Result.Hypothesis {

@@ -101,7 +101,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	withPolicy, _, err := federated.Simulate(future, gate)
+	withPolicy, _, err := federated.Simulate(future, gate.Predict)
 	if err != nil {
 		return err
 	}

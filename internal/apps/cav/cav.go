@@ -6,8 +6,8 @@
 // vehicle and region.
 //
 // The package provides the scenario generator, the symbolic learning
-// task, the feature encoding for the shallow-ML baselines, and the
-// ASG-based GPM — everything needed to reproduce the paper's claim that
+// task (learned, predicted and scored by package apps), the feature
+// encoding for the shallow-ML baselines, and the ASG-based GPM — everything needed to reproduce the paper's claim that
 // the symbolic learner reaches higher accuracy from fewer examples than
 // shallow ML (experiment E7).
 package cav
@@ -16,10 +16,11 @@ import (
 	"fmt"
 	"strconv"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
+	"agenp/internal/asglearn"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
-	"agenp/internal/mlbase"
 	"agenp/internal/workload"
 )
 
@@ -120,21 +121,8 @@ func (s Scenario) Label() string {
 	return "reject"
 }
 
-// Instances converts scenarios for package mlbase.
-func Instances(ss []Scenario) []mlbase.Instance {
-	out := make([]mlbase.Instance, len(ss))
-	for i, s := range ss {
-		out[i] = mlbase.Instance{Features: s.Features(), Label: s.Label()}
-	}
-	return out
-}
-
-// denyAtom is the decision atom the symbolic learner targets: the model
-// denies a request when a learned deny rule fires, and accepts
-// otherwise (deny-overrides with default accept).
-func denyAtom() asp.Atom {
-	return asp.NewAtom("decision", asp.Constant{Name: "deny"})
-}
+// Allowed implements apps.Case: the ground-truth label.
+func (s Scenario) Allowed() bool { return s.Accept }
 
 // Background supplies the adverse-weather ontology — the kind of
 // contextual knowledge Section IV.C argues enables safe generalization.
@@ -151,14 +139,6 @@ func Background() *asp.Program {
 
 // Bias is the learner's language bias over the CAV context vocabulary.
 func Bias() ilasp.Bias {
-	weatherTerms := make([]asp.Term, len(Weathers))
-	for i, w := range Weathers {
-		weatherTerms[i] = asp.Constant{Name: w}
-	}
-	taskTerms := make([]asp.Term, len(Tasks))
-	for i, t := range Tasks {
-		taskTerms[i] = asp.Constant{Name: t}
-	}
 	return ilasp.Bias{
 		Head: []ilasp.ModeAtom{ilasp.M("decision", ilasp.Const("effect"))},
 		Body: []ilasp.ModeAtom{
@@ -171,8 +151,8 @@ func Bias() ilasp.Bias {
 		},
 		Constants: map[string][]asp.Term{
 			"effect": {asp.Constant{Name: "deny"}},
-			"w":      weatherTerms,
-			"t":      taskTerms,
+			"w":      ilasp.Constants(Weathers...),
+			"t":      ilasp.Constants(Tasks...),
 		},
 		Comparisons: []ilasp.CmpSpec{{
 			Type: "num",
@@ -190,89 +170,17 @@ func Bias() ilasp.Bias {
 }
 
 // Learned is a trained symbolic CAV policy.
-type Learned struct {
-	Result *ilasp.Result
-}
+type Learned = apps.Learned[Scenario]
 
 // LearningExamples converts scenarios to learner examples: rejected
 // scenarios require the deny decision, accepted ones exclude it.
 func LearningExamples(ss []Scenario, weight int) []ilasp.Example {
-	deny := denyAtom()
-	out := make([]ilasp.Example, len(ss))
-	for i, s := range ss {
-		ex := ilasp.Example{
-			ID:       fmt.Sprintf("s%d", i+1),
-			Positive: true,
-			Context:  s.Context(),
-			Weight:   weight,
-		}
-		if s.Accept {
-			ex.Exclusions = []asp.Atom{deny}
-		} else {
-			ex.Inclusions = []asp.Atom{deny}
-		}
-		out[i] = ex
-	}
-	return out
+	return apps.Examples("s", ss, weight)
 }
 
 // Learn trains the symbolic policy on scenarios.
 func Learn(train []Scenario, opts ilasp.LearnOptions) (*Learned, error) {
-	task := &ilasp.Task{
-		Background: Background(),
-		Bias:       Bias(),
-		Examples:   LearningExamples(train, 0),
-	}
-	if opts.MaxRules == 0 {
-		opts.MaxRules = 3
-	}
-	res, err := task.LearnIndependent(opts)
-	if err != nil {
-		return nil, fmt.Errorf("cav: learning: %w", err)
-	}
-	return &Learned{Result: res}, nil
-}
-
-// Predict applies the learned deny rules to a scenario.
-func (l *Learned) Predict(s Scenario) (accept bool, err error) {
-	prog := asp.NewProgram()
-	prog.Extend(Background())
-	prog.Extend(s.Context())
-	models, err := asp.Solve(prog, asp.SolveOptions{MaxModels: 1})
-	if err != nil || len(models) == 0 {
-		return false, fmt.Errorf("cav: context unsolvable: %w", err)
-	}
-	deny := denyAtom()
-	for _, r := range l.Result.Hypothesis {
-		heads, err := asp.EvalRule(r, models[0])
-		if err != nil {
-			return false, err
-		}
-		for _, h := range heads {
-			if h.Key() == deny.Key() {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Accuracy scores the learned policy on test scenarios.
-func (l *Learned) Accuracy(test []Scenario) (float64, error) {
-	if len(test) == 0 {
-		return 0, nil
-	}
-	correct := 0
-	for _, s := range test {
-		got, err := l.Predict(s)
-		if err != nil {
-			return 0, err
-		}
-		if got == s.Accept {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(test)), nil
+	return apps.Learn[Scenario]("cav", Background(), Bias(), LearningExamples(train, 0), opts)
 }
 
 // GrammarSource is the CAV policy-language ASG used with the AGENP
@@ -313,19 +221,6 @@ task -> "navigate_junction" { task(navigate_junction). }
 // adaptation loop: deny-style constraints attachable to the accept
 // production.
 func HypothesisSpace() ([]asg.HypothesisRule, error) {
-	g, err := asg.ParseASG(LearnableGrammarSource)
-	if err != nil {
-		return nil, err
-	}
-	var rules []asg.HypothesisRule
-	add := func(src string) error {
-		h, err := parseHyp(src)
-		if err != nil {
-			return err
-		}
-		rules = append(rules, h)
-		return nil
-	}
 	srcs := []string{
 		":- task(T)@2, risky(T), adverse(W), weather(W).",
 		":- loa(V), region_min(M), V < M.",
@@ -335,24 +230,15 @@ func HypothesisSpace() ([]asg.HypothesisRule, error) {
 		":- task(overtake)@2.",
 		":- task(navigate_junction)@2.",
 	}
-	for _, s := range srcs {
-		if err := add(s); err != nil {
+	rules := make([]asg.HypothesisRule, len(srcs))
+	for i, src := range srcs {
+		h, err := asglearn.ParseHypothesisRule(src, 0)
+		if err != nil {
 			return nil, err
 		}
+		rules[i] = h
 	}
-	_ = g
 	return rules, nil
-}
-
-func parseHyp(src string) (asg.HypothesisRule, error) {
-	prog, err := asp.ParseAnnotated(src, asg.AnnotationHook)
-	if err != nil {
-		return asg.HypothesisRule{}, err
-	}
-	if len(prog.Rules) != 1 {
-		return asg.HypothesisRule{}, fmt.Errorf("cav: expected one rule in %q", src)
-	}
-	return asg.HypothesisRule{Rule: prog.Rules[0], ProdID: 0}, nil
 }
 
 // ground-truth constraint on risky tasks: a scenario's risky task in

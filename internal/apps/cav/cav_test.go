@@ -3,6 +3,7 @@ package cav
 import (
 	"testing"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
 	"agenp/internal/ilasp"
 	"agenp/internal/mlbase"
@@ -118,8 +119,8 @@ func TestSymbolicSampleEfficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := mlbase.TrainID3(Instances(train), mlbase.TreeOptions{})
-	treeAcc := mlbase.Accuracy(tree, Instances(test))
+	tree := mlbase.TrainID3(apps.Instances(train), mlbase.TreeOptions{})
+	treeAcc := mlbase.Accuracy(tree, apps.Instances(test))
 	if symAcc <= treeAcc {
 		t.Errorf("symbolic %.3f should beat tree %.3f at 25 examples", symAcc, treeAcc)
 	}

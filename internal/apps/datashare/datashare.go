@@ -10,14 +10,13 @@
 package datashare
 
 import (
-	"fmt"
 	"strconv"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
 	"agenp/internal/asglearn"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
-	"agenp/internal/mlbase"
 	"agenp/internal/workload"
 )
 
@@ -111,29 +110,11 @@ func (o Offer) Label() string {
 	return "withhold"
 }
 
-// Instances converts offers for package mlbase.
-func Instances(os []Offer) []mlbase.Instance {
-	out := make([]mlbase.Instance, len(os))
-	for i, o := range os {
-		out[i] = mlbase.Instance{Features: o.Features(), Label: o.Label()}
-	}
-	return out
-}
-
-func denyAtom() asp.Atom {
-	return asp.NewAtom("decision", asp.Constant{Name: "deny"})
-}
+// Allowed implements apps.Case: the ground-truth label.
+func (o Offer) Allowed() bool { return o.Share }
 
 // Bias is the learner's language bias for sharing policies.
 func Bias() ilasp.Bias {
-	trustTerms := make([]asp.Term, len(TrustLevels))
-	for i, t := range TrustLevels {
-		trustTerms[i] = asp.Constant{Name: t}
-	}
-	typeTerms := make([]asp.Term, len(DataTypes))
-	for i, d := range DataTypes {
-		typeTerms[i] = asp.Constant{Name: d}
-	}
 	return ilasp.Bias{
 		Head: []ilasp.ModeAtom{ilasp.M("decision", ilasp.Const("effect"))},
 		Body: []ilasp.ModeAtom{
@@ -143,8 +124,8 @@ func Bias() ilasp.Bias {
 		},
 		Constants: map[string][]asp.Term{
 			"effect": {asp.Constant{Name: "deny"}},
-			"trust":  trustTerms,
-			"dtype":  typeTerms,
+			"trust":  ilasp.Constants(TrustLevels...),
+			"dtype":  ilasp.Constants(DataTypes...),
 		},
 		Comparisons: []ilasp.CmpSpec{{
 			Type:   "num",
@@ -159,84 +140,16 @@ func Bias() ilasp.Bias {
 }
 
 // Learned is a trained sharing policy.
-type Learned struct {
-	Result *ilasp.Result
-}
+type Learned = apps.Learned[Offer]
 
 // LearningExamples converts offers into learner examples.
 func LearningExamples(os []Offer, weight int) []ilasp.Example {
-	deny := denyAtom()
-	out := make([]ilasp.Example, len(os))
-	for i, o := range os {
-		ex := ilasp.Example{
-			ID:       fmt.Sprintf("o%d", i+1),
-			Positive: true,
-			Context:  o.Context(),
-			Weight:   weight,
-		}
-		if o.Share {
-			ex.Exclusions = []asp.Atom{deny}
-		} else {
-			ex.Inclusions = []asp.Atom{deny}
-		}
-		out[i] = ex
-	}
-	return out
+	return apps.Examples("o", os, weight)
 }
 
 // Learn trains the symbolic sharing policy.
 func Learn(train []Offer, opts ilasp.LearnOptions) (*Learned, error) {
-	task := &ilasp.Task{
-		Bias:     Bias(),
-		Examples: LearningExamples(train, 0),
-	}
-	if opts.MaxRules == 0 {
-		opts.MaxRules = 3
-	}
-	res, err := task.LearnIndependent(opts)
-	if err != nil {
-		return nil, fmt.Errorf("datashare: learning: %w", err)
-	}
-	return &Learned{Result: res}, nil
-}
-
-// Predict applies the learned deny rules to an offer.
-func (l *Learned) Predict(o Offer) (share bool, err error) {
-	models, err := asp.Solve(o.Context(), asp.SolveOptions{MaxModels: 1})
-	if err != nil || len(models) == 0 {
-		return false, fmt.Errorf("datashare: context unsolvable: %w", err)
-	}
-	deny := denyAtom()
-	for _, r := range l.Result.Hypothesis {
-		heads, err := asp.EvalRule(r, models[0])
-		if err != nil {
-			return false, err
-		}
-		for _, h := range heads {
-			if h.Key() == deny.Key() {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Accuracy scores the learned policy.
-func (l *Learned) Accuracy(test []Offer) (float64, error) {
-	if len(test) == 0 {
-		return 0, nil
-	}
-	correct := 0
-	for _, o := range test {
-		got, err := l.Predict(o)
-		if err != nil {
-			return 0, err
-		}
-		if got == o.Share {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(test)), nil
+	return apps.Learn[Offer]("datashare", nil, Bias(), LearningExamples(train, 0), opts)
 }
 
 // GrammarSource is the data-sharing policy language for the AGENP

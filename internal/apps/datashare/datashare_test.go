@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
 	"agenp/internal/ilasp"
 	"agenp/internal/workload"
@@ -112,7 +113,7 @@ func TestGrammarGenerationPerTrustLevel(t *testing.T) {
 
 func TestInstancesShape(t *testing.T) {
 	os := Generate(2, 10)
-	ins := Instances(os)
+	ins := apps.Instances(os)
 	if len(ins) != 10 {
 		t.Fatal("wrong size")
 	}

@@ -11,12 +11,11 @@
 package federated
 
 import (
-	"fmt"
 	"strconv"
 
+	"agenp/internal/apps"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
-	"agenp/internal/mlbase"
 	"agenp/internal/workload"
 )
 
@@ -111,29 +110,11 @@ func (u Update) Label() string {
 	return "discard"
 }
 
-// Instances converts updates for package mlbase.
-func Instances(us []Update) []mlbase.Instance {
-	out := make([]mlbase.Instance, len(us))
-	for i, u := range us {
-		out[i] = mlbase.Instance{Features: u.Features(), Label: u.Label()}
-	}
-	return out
-}
-
-func denyAtom() asp.Atom {
-	return asp.NewAtom("decision", asp.Constant{Name: "deny"})
-}
+// Allowed implements apps.Case: the ground-truth label.
+func (u Update) Allowed() bool { return u.Incorporate }
 
 // Bias is the learner's language bias for fusion policies.
 func Bias() ilasp.Bias {
-	trustTerms := make([]asp.Term, len(TrustLevels))
-	for i, t := range TrustLevels {
-		trustTerms[i] = asp.Constant{Name: t}
-	}
-	provTerms := make([]asp.Term, len(Provenances))
-	for i, p := range Provenances {
-		provTerms[i] = asp.Constant{Name: p}
-	}
 	return ilasp.Bias{
 		Head: []ilasp.ModeAtom{ilasp.M("decision", ilasp.Const("effect"))},
 		Body: []ilasp.ModeAtom{
@@ -143,8 +124,8 @@ func Bias() ilasp.Bias {
 		},
 		Constants: map[string][]asp.Term{
 			"effect": {asp.Constant{Name: "deny"}},
-			"trust":  trustTerms,
-			"prov":   provTerms,
+			"trust":  ilasp.Constants(TrustLevels...),
+			"prov":   ilasp.Constants(Provenances...),
 		},
 		Comparisons: []ilasp.CmpSpec{{
 			Type:   "num",
@@ -158,123 +139,44 @@ func Bias() ilasp.Bias {
 }
 
 // Learned is a trained fusion policy.
-type Learned struct {
-	Result *ilasp.Result
-}
+type Learned = apps.Learned[Update]
 
 // LearningExamples converts updates into learner examples.
 func LearningExamples(us []Update, weight int) []ilasp.Example {
-	deny := denyAtom()
-	out := make([]ilasp.Example, len(us))
-	for i, u := range us {
-		ex := ilasp.Example{
-			ID:       fmt.Sprintf("u%d", i+1),
-			Positive: true,
-			Context:  u.Context(),
-			Weight:   weight,
-		}
-		if u.Incorporate {
-			ex.Exclusions = []asp.Atom{deny}
-		} else {
-			ex.Inclusions = []asp.Atom{deny}
-		}
-		out[i] = ex
-	}
-	return out
+	return apps.Examples("u", us, weight)
 }
 
 // Learn trains the symbolic fusion policy.
 func Learn(train []Update, opts ilasp.LearnOptions) (*Learned, error) {
-	task := &ilasp.Task{
-		Bias:     Bias(),
-		Examples: LearningExamples(train, 0),
-	}
-	if opts.MaxRules == 0 {
-		opts.MaxRules = 3
-	}
-	res, err := task.LearnIndependent(opts)
-	if err != nil {
-		return nil, fmt.Errorf("federated: learning: %w", err)
-	}
-	return &Learned{Result: res}, nil
-}
-
-// Predict applies the learned deny rules to an update.
-func (l *Learned) Predict(u Update) (incorporate bool, err error) {
-	models, err := asp.Solve(u.Context(), asp.SolveOptions{MaxModels: 1})
-	if err != nil || len(models) == 0 {
-		return false, fmt.Errorf("federated: context unsolvable: %w", err)
-	}
-	deny := denyAtom()
-	for _, r := range l.Result.Hypothesis {
-		heads, err := asp.EvalRule(r, models[0])
-		if err != nil {
-			return false, err
-		}
-		for _, h := range heads {
-			if h.Key() == deny.Key() {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Accuracy scores the learned policy against labels.
-func (l *Learned) Accuracy(test []Update) (float64, error) {
-	if len(test) == 0 {
-		return 0, nil
-	}
-	correct := 0
-	for _, u := range test {
-		got, err := l.Predict(u)
-		if err != nil {
-			return 0, err
-		}
-		if got == u.Incorporate {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(test)), nil
+	return apps.Learn[Update]("federated", nil, Bias(), LearningExamples(train, 0), opts)
 }
 
 // Gate decides whether to fuse an update. AcceptAll and Oracle are the
-// baselines; Learned policies implement it too.
-type Gate interface {
-	Admit(u Update) (bool, error)
-}
-
-// Admit implements Gate for a learned policy.
-func (l *Learned) Admit(u Update) (bool, error) { return l.Predict(u) }
-
-// GateFunc adapts a function to Gate.
-type GateFunc func(u Update) (bool, error)
-
-// Admit implements Gate.
-func (f GateFunc) Admit(u Update) (bool, error) { return f(u) }
+// baselines; a learned policy's Predict is one too.
+type Gate func(u Update) (bool, error)
 
 // AcceptAll admits every update.
 func AcceptAll() Gate {
-	return GateFunc(func(Update) (bool, error) { return true, nil })
+	return func(Update) (bool, error) { return true, nil }
 }
 
 // Oracle admits exactly the ground-truth-good updates.
 func Oracle() Gate {
-	return GateFunc(func(u Update) (bool, error) { return u.Incorporate, nil })
+	return func(u Update) (bool, error) { return u.Incorporate, nil }
 }
 
 // Simulate runs the fusion loop: the receiver's model quality starts at
 // zero and moves by each admitted update's drift. It returns the final
 // quality and the per-round trajectory.
-func Simulate(updates []Update, g Gate) (final float64, trajectory []float64, err error) {
+func Simulate(updates []Update, admit Gate) (final float64, trajectory []float64, err error) {
 	quality := 0.0
 	trajectory = make([]float64, 0, len(updates))
 	for _, u := range updates {
-		admit, err := g.Admit(u)
+		ok, err := admit(u)
 		if err != nil {
 			return 0, nil, err
 		}
-		if admit {
+		if ok {
 			quality += u.Drift
 		}
 		trajectory = append(trajectory, quality)

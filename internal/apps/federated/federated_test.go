@@ -3,6 +3,7 @@ package federated
 import (
 	"testing"
 
+	"agenp/internal/apps"
 	"agenp/internal/ilasp"
 	"agenp/internal/workload"
 )
@@ -66,7 +67,7 @@ func TestSimulationPolicyProtectsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPolicy, traj, err := Simulate(future, learned)
+	withPolicy, traj, err := Simulate(future, learned.Predict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +92,13 @@ func TestSimulationPolicyProtectsModel(t *testing.T) {
 
 func TestGatesAndInstances(t *testing.T) {
 	u := Update{Trust: "low", Provenance: "raw", Validation: 1, Incorporate: false}
-	if ok, _ := AcceptAll().Admit(u); !ok {
+	if ok, _ := AcceptAll()(u); !ok {
 		t.Error("AcceptAll rejected")
 	}
-	if ok, _ := Oracle().Admit(u); ok {
+	if ok, _ := Oracle()(u); ok {
 		t.Error("Oracle admitted a bad update")
 	}
-	ins := Instances([]Update{u})
+	ins := apps.Instances([]Update{u})
 	if ins[0].Label != "discard" || ins[0].Features["validation"] != "1" {
 		t.Errorf("instance = %+v", ins[0])
 	}

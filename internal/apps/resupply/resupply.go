@@ -7,13 +7,12 @@
 package resupply
 
 import (
-	"fmt"
 	"strconv"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
-	"agenp/internal/mlbase"
 	"agenp/internal/workload"
 )
 
@@ -114,33 +113,11 @@ func (m Mission) Label() string {
 	return "deny"
 }
 
-// Instances converts missions for package mlbase.
-func Instances(ms []Mission) []mlbase.Instance {
-	out := make([]mlbase.Instance, len(ms))
-	for i, m := range ms {
-		out[i] = mlbase.Instance{Features: m.Features(), Label: m.Label()}
-	}
-	return out
-}
-
-func denyAtom() asp.Atom {
-	return asp.NewAtom("decision", asp.Constant{Name: "deny"})
-}
+// Allowed implements apps.Case: the ground-truth label.
+func (m Mission) Allowed() bool { return m.Approve }
 
 // Bias is the learner's language bias for mission policies.
 func Bias() ilasp.Bias {
-	routeTerms := make([]asp.Term, len(Routes))
-	for i, r := range Routes {
-		routeTerms[i] = asp.Constant{Name: r}
-	}
-	timeTerms := make([]asp.Term, len(Times))
-	for i, t := range Times {
-		timeTerms[i] = asp.Constant{Name: t}
-	}
-	threatTerms := make([]asp.Term, len(Threats))
-	for i, t := range Threats {
-		threatTerms[i] = asp.Constant{Name: t}
-	}
 	return ilasp.Bias{
 		Head: []ilasp.ModeAtom{ilasp.M("decision", ilasp.Const("effect"))},
 		Body: []ilasp.ModeAtom{
@@ -151,9 +128,9 @@ func Bias() ilasp.Bias {
 		},
 		Constants: map[string][]asp.Term{
 			"effect": {asp.Constant{Name: "deny"}},
-			"route":  routeTerms,
-			"time":   timeTerms,
-			"threat": threatTerms,
+			"route":  ilasp.Constants(Routes...),
+			"time":   ilasp.Constants(Times...),
+			"threat": ilasp.Constants(Threats...),
 		},
 		Comparisons: []ilasp.CmpSpec{{
 			Type:   "num",
@@ -167,84 +144,16 @@ func Bias() ilasp.Bias {
 }
 
 // Learned is a trained mission policy.
-type Learned struct {
-	Result *ilasp.Result
-}
+type Learned = apps.Learned[Mission]
 
 // LearningExamples converts missions into learner examples.
 func LearningExamples(ms []Mission, weight int) []ilasp.Example {
-	deny := denyAtom()
-	out := make([]ilasp.Example, len(ms))
-	for i, m := range ms {
-		ex := ilasp.Example{
-			ID:       fmt.Sprintf("m%d", i+1),
-			Positive: true,
-			Context:  m.Context(),
-			Weight:   weight,
-		}
-		if m.Approve {
-			ex.Exclusions = []asp.Atom{deny}
-		} else {
-			ex.Inclusions = []asp.Atom{deny}
-		}
-		out[i] = ex
-	}
-	return out
+	return apps.Examples("m", ms, weight)
 }
 
 // Learn trains the symbolic mission policy.
 func Learn(train []Mission, opts ilasp.LearnOptions) (*Learned, error) {
-	task := &ilasp.Task{
-		Bias:     Bias(),
-		Examples: LearningExamples(train, 0),
-	}
-	if opts.MaxRules == 0 {
-		opts.MaxRules = 3
-	}
-	res, err := task.LearnIndependent(opts)
-	if err != nil {
-		return nil, fmt.Errorf("resupply: learning: %w", err)
-	}
-	return &Learned{Result: res}, nil
-}
-
-// Predict applies the learned deny rules to a mission.
-func (l *Learned) Predict(m Mission) (approve bool, err error) {
-	models, err := asp.Solve(m.Context(), asp.SolveOptions{MaxModels: 1})
-	if err != nil || len(models) == 0 {
-		return false, fmt.Errorf("resupply: context unsolvable: %w", err)
-	}
-	deny := denyAtom()
-	for _, r := range l.Result.Hypothesis {
-		heads, err := asp.EvalRule(r, models[0])
-		if err != nil {
-			return false, err
-		}
-		for _, h := range heads {
-			if h.Key() == deny.Key() {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Accuracy scores the learned policy.
-func (l *Learned) Accuracy(test []Mission) (float64, error) {
-	if len(test) == 0 {
-		return 0, nil
-	}
-	correct := 0
-	for _, m := range test {
-		got, err := l.Predict(m)
-		if err != nil {
-			return 0, err
-		}
-		if got == m.Approve {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(test)), nil
+	return apps.Learn[Mission]("resupply", nil, Bias(), LearningExamples(train, 0), opts)
 }
 
 // GrammarSource is the resupply policy language for the AGENP framework:

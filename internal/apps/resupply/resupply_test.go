@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"agenp/internal/apps"
 	"agenp/internal/asg"
 	"agenp/internal/ilasp"
 	"agenp/internal/mlbase"
@@ -89,8 +90,8 @@ func TestLearnedBeatsTreeOnFewMissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := mlbase.TrainID3(Instances(train), mlbase.TreeOptions{})
-	treeAcc := mlbase.Accuracy(tree, Instances(test))
+	tree := mlbase.TrainID3(apps.Instances(train), mlbase.TreeOptions{})
+	treeAcc := mlbase.Accuracy(tree, apps.Instances(test))
 	if symAcc < treeAcc {
 		t.Errorf("symbolic %.3f below tree %.3f at 20 missions", symAcc, treeAcc)
 	}

@@ -42,7 +42,8 @@ type Transport interface {
 	Close() error
 }
 
-// Bus is an in-process Transport.
+// Bus is an in-process Transport. It is also the one subscriber fan-out:
+// TCPTransport delivers what it reads from its hub through a Bus it owns.
 type Bus struct {
 	mu     sync.Mutex
 	subs   map[string][]chan SharedPolicy
@@ -71,6 +72,7 @@ func (b *Bus) Publish(sp SharedPolicy) error {
 			select {
 			case ch <- sp:
 			default: // slow subscriber: drop rather than block the bus
+				statDropped.Inc()
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"agenp/internal/agenp"
 	"agenp/internal/asp"
 	"agenp/internal/core"
+	"agenp/internal/obs"
 	"agenp/internal/policy"
 )
 
@@ -178,6 +179,71 @@ func TestBusClosedErrors(t *testing.T) {
 	}
 	if err := bus.Close(); err != nil {
 		t.Error("double close should be nil")
+	}
+}
+
+// droppedCount reads the exported drop counter by name.
+func droppedCount() int64 {
+	return obs.Default.Snapshot().Counters["coalition.policies.dropped"]
+}
+
+// TestBusDropCounted: a subscriber whose buffer is full loses later
+// publishes, and each loss is counted.
+func TestBusDropCounted(t *testing.T) {
+	bus := NewBus()
+	defer func() { _ = bus.Close() }()
+	ch, _, err := bus.Subscribe("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := droppedCount()
+	for i := 0; i < 3; i++ {
+		if err := bus.Publish(SharedPolicy{From: "a", ID: fmt.Sprintf("p%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(ch); got != 1 {
+		t.Errorf("subscriber holds %d policies, want 1", got)
+	}
+	if got := droppedCount() - before; got != 2 {
+		t.Errorf("coalition.policies.dropped rose by %d, want 2", got)
+	}
+}
+
+// TestTCPDropCounted: the same over TCP, where the transport's reader
+// drops what the subscriber's full buffer cannot take.
+func TestTCPDropCounted(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	ta, err := DialTCP(hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ta.Close() }()
+	tb, err := DialTCP(hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tb.Close() }()
+	ch, _, err := tb.Subscribe("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := droppedCount()
+	for i := 0; i < 5; i++ {
+		if err := ta.Publish(SharedPolicy{From: "a", ID: fmt.Sprintf("p%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "4 counted drops", func() bool { return droppedCount()-before >= 4 })
+	if got := droppedCount() - before; got != 4 {
+		t.Errorf("coalition.policies.dropped rose by %d, want 4", got)
+	}
+	if got := len(ch); got != 1 {
+		t.Errorf("subscriber holds %d policies, want 1", got)
 	}
 }
 

@@ -8,6 +8,9 @@ var (
 	statPublished = obs.C("coalition.policies.published")
 	statAdopted   = obs.C("coalition.policies.adopted")
 	statRejected  = obs.C("coalition.policies.rejected")
+	// statDropped counts deliveries a Bus (and so a TCPTransport)
+	// dropped because the subscriber's buffer was full.
+	statDropped = obs.C("coalition.policies.dropped")
 	// statVetDur is the end-to-end vetting latency of one incoming
 	// shared policy (queue hand-off to PCP verdict), as seen by the
 	// consuming party.

@@ -118,19 +118,14 @@ func (h *TCPHub) Close() error {
 	return err
 }
 
-// TCPTransport connects a party to a TCPHub.
+// TCPTransport connects a party to a TCPHub. What it reads from the hub
+// it delivers through a Bus it owns, so subscription, the own-name
+// filter and drop-on-full are the Bus's; the Bus closes when the
+// connection ends or the transport is closed.
 type TCPTransport struct {
 	conn net.Conn
-
-	mu     sync.Mutex
-	subs   []subscriber
-	closed bool
-	done   chan struct{}
-}
-
-type subscriber struct {
-	name string
-	ch   chan SharedPolicy
+	bus  *Bus
+	done chan struct{}
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -148,7 +143,7 @@ func DialTCP(addr string) (*TCPTransport, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("coalition: dial hub: %w", err)
 	}
-	t := &TCPTransport{conn: conn, done: make(chan struct{})}
+	t := &TCPTransport{conn: conn, bus: NewBus(), done: make(chan struct{})}
 	go t.read(scanner)
 	return t, nil
 }
@@ -178,28 +173,9 @@ func (t *TCPTransport) read(scanner *bufio.Scanner) {
 		if err := json.Unmarshal(scanner.Bytes(), &sp); err != nil {
 			continue // skip malformed frames
 		}
-		t.mu.Lock()
-		for _, sub := range t.subs {
-			if sub.name == sp.From {
-				continue
-			}
-			select {
-			case sub.ch <- sp:
-			default:
-			}
-		}
-		t.mu.Unlock()
+		_ = t.bus.Publish(sp) // fails only once Close has closed the bus
 	}
-	// Connection closed: close subscriber channels.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.closed {
-		t.closed = true
-		for _, sub := range t.subs {
-			close(sub.ch)
-		}
-		t.subs = nil
-	}
+	_ = t.bus.Close() // connection closed: close subscriber channels
 }
 
 // Publish implements Transport.
@@ -217,40 +193,12 @@ func (t *TCPTransport) Publish(sp SharedPolicy) error {
 
 // Subscribe implements Transport.
 func (t *TCPTransport) Subscribe(name string, buffer int) (<-chan SharedPolicy, func(), error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, nil, fmt.Errorf("coalition: transport closed")
-	}
-	ch := make(chan SharedPolicy, buffer)
-	t.subs = append(t.subs, subscriber{name: name, ch: ch})
-	cancel := func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		for i, sub := range t.subs {
-			if sub.ch == ch {
-				t.subs = append(t.subs[:i], t.subs[i+1:]...)
-				close(ch)
-				return
-			}
-		}
-	}
-	return ch, cancel, nil
+	return t.bus.Subscribe(name, buffer)
 }
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	alreadyClosed := t.closed
-	t.closed = true
-	subs := t.subs
-	t.subs = nil
-	t.mu.Unlock()
-	if !alreadyClosed {
-		for _, sub := range subs {
-			close(sub.ch)
-		}
-	}
+	_ = t.bus.Close()
 	err := t.conn.Close()
 	<-t.done
 	return err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"agenp/internal/agenp"
+	"agenp/internal/apps"
 	"agenp/internal/apps/cav"
 	"agenp/internal/apps/datashare"
 	"agenp/internal/apps/federated"
@@ -38,7 +39,7 @@ func RunE7(opts Options) (*Table, error) {
 	total := sizes[len(sizes)-1] + testN
 	scenarios := cav.Generate(opts.seed(), total)
 	test := scenarios[sizes[len(sizes)-1]:]
-	testInst := cav.Instances(test)
+	testInst := apps.Instances(test)
 
 	for _, n := range sizes {
 		train := scenarios[:n]
@@ -50,7 +51,7 @@ func RunE7(opts Options) (*Table, error) {
 				return nil, err
 			}
 		}
-		trainInst := cav.Instances(train)
+		trainInst := apps.Instances(train)
 		treeAcc := mlbase.Accuracy(mlbase.TrainID3(trainInst, mlbase.TreeOptions{}), testInst)
 		nbAcc := mlbase.Accuracy(mlbase.TrainNaiveBayes(trainInst), testInst)
 		majAcc := mlbase.Accuracy(mlbase.TrainMajority(trainInst), testInst)
@@ -295,7 +296,7 @@ func RunE11(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	withPolicy, _, err := federated.Simulate(future, gate)
+	withPolicy, _, err := federated.Simulate(future, gate.Predict)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +389,7 @@ func RunE12(opts Options) (*Table, error) {
 	}
 	all := resupply.Generate(opts.seed(), sizes[len(sizes)-1]+testN)
 	test := all[sizes[len(sizes)-1]:]
-	testInst := resupply.Instances(test)
+	testInst := apps.Instances(test)
 	for _, n := range sizes {
 		train := all[:n]
 		learned, err := resupply.Learn(train, ilasp.LearnOptions{Parallelism: opts.Parallelism})
@@ -401,7 +402,7 @@ func RunE12(opts Options) (*Table, error) {
 			}
 			nRules = len(learned.Result.Hypothesis)
 		}
-		tree := mlbase.TrainID3(resupply.Instances(train), mlbase.TreeOptions{})
+		tree := mlbase.TrainID3(apps.Instances(train), mlbase.TreeOptions{})
 		t.AddRow(n, symAcc, mlbase.Accuracy(tree, testInst), nRules)
 	}
 	t.Note("accuracy grows with mission count; the symbolic learner converges first")

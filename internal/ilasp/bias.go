@@ -43,6 +43,15 @@ func Var(typeName string) ArgSpec { return ArgSpec{Kind: ArgVar, Type: typeName}
 // Const builds a constant placeholder of a type.
 func Const(typeName string) ArgSpec { return ArgSpec{Kind: ArgConst, Type: typeName} }
 
+// Constants builds a constant pool (see Bias.Constants) from names.
+func Constants(names ...string) []asp.Term {
+	out := make([]asp.Term, len(names))
+	for i, n := range names {
+		out[i] = asp.Constant{Name: n}
+	}
+	return out
+}
+
 // ModeAtom is a mode declaration: a predicate schema usable in hypothesis
 // rules.
 type ModeAtom struct {
