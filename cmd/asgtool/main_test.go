@@ -30,6 +30,48 @@ func TestShow(t *testing.T) {
 	}
 }
 
+// TestShowContext pins `show -context` to G(C) with C under every
+// production, whether G(C) shares a fact context or copies one that
+// holds a rule.
+func TestShowContext(t *testing.T) {
+	for _, tt := range []struct{ context, want string }{
+		{
+			context: "weather(clear). crew(2).",
+			want: `policy -> "fly" {
+  :- not weather(clear).
+  weather(clear).
+  crew(2).
+}
+policy -> "drive" {
+  weather(clear).
+  crew(2).
+}
+`,
+		},
+		{
+			context: "season(summer). weather(clear) :- season(summer).",
+			want: `policy -> "fly" {
+  :- not weather(clear).
+  season(summer).
+  weather(clear) :- season(summer).
+}
+policy -> "drive" {
+  season(summer).
+  weather(clear) :- season(summer).
+}
+`,
+		},
+	} {
+		var out strings.Builder
+		if err := run([]string{"-grammar", writeGrammar(t), "-context", tt.context, "show"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != tt.want {
+			t.Errorf("show -context %q:\n%s\nwant:\n%s", tt.context, out.String(), tt.want)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	g := writeGrammar(t)
 	var out strings.Builder

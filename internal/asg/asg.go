@@ -15,11 +15,20 @@ package asg
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"agenp/internal/asp"
 	"agenp/internal/cfg"
+	"agenp/internal/obs"
+)
+
+// WithContext outcomes: contexts kept once per tree program, and
+// contexts copied into every production.
+var (
+	statContextShared = obs.C("asg.context.shared")
+	statContextCopied = obs.C("asg.context.copied")
 )
 
 // annSep separates a predicate name from its annotation index in the
@@ -47,6 +56,13 @@ type Grammar struct {
 	// them back to the grammar file. Nil for programmatically built
 	// grammars.
 	AnnLines []int
+
+	// context holds the facts of a context that G(C) shares instead of
+	// copying them into every annotation (see WithContext), and
+	// ctxPreds their predicates, which localization leaves at no trace.
+	// Both are nil when the grammar shares no context.
+	context  []asp.Rule
+	ctxPreds map[string]struct{}
 }
 
 // AnnLine returns the source line where production i's annotation block
@@ -67,11 +83,8 @@ func (g *Grammar) Clone() *Grammar {
 			ann[i] = p.Clone()
 		}
 	}
-	var lines []int
-	if g.AnnLines != nil {
-		lines = append([]int(nil), g.AnnLines...)
-	}
-	return &Grammar{CFG: g.CFG, Annotations: ann, AnnLines: lines}
+	return &Grammar{CFG: g.CFG, Annotations: ann, AnnLines: slices.Clone(g.AnnLines),
+		context: g.context, ctxPreds: g.ctxPreds}
 }
 
 // encodeAnn encodes an annotated atom's predicate in the intermediate
@@ -165,11 +178,6 @@ func validateAnnotation(p cfg.Production, prog *asp.Program) error {
 	return nil
 }
 
-// localizePredicate attaches a trace key to a predicate name.
-func localizePredicate(pred string, tr cfg.Trace) string {
-	return pred + traceSep + tr.Key()
-}
-
 // DelocalizeAtom strips the trace suffix from a localized atom, returning
 // the original predicate and the trace key ("" when the atom was not
 // localized). Useful for rendering answer sets of tree programs.
@@ -183,62 +191,144 @@ func DelocalizeAtom(a asp.Atom) (asp.Atom, string) {
 	return a, key
 }
 
-// localizeRule rewrites one annotation rule for the node at trace tr:
-// `a@i` atoms move to the i-th child's trace, unannotated atoms to tr.
-func localizeRule(r asp.Rule, tr cfg.Trace) asp.Rule {
-	localAtom := func(a asp.Atom) asp.Atom {
-		name, child, ok := decodeAnn(a.Predicate)
-		if ok {
-			a.Predicate = localizePredicate(name, tr.Child(child))
-		} else {
-			a.Predicate = localizePredicate(name, tr)
-		}
-		return a
+// localizer rewrites annotation rules for one interior node: `a@i` atoms
+// move to the i-th child's trace, unannotated atoms to the node's own,
+// except that the predicates of a shared context stay unlocalized. Each
+// trace key is rendered once per node.
+type localizer struct {
+	preds map[string]struct{}
+	key   string
+	kids  []string // kids[i-1] is child i's key, "" until rendered
+}
+
+func (l *localizer) child(i int) string {
+	if i < 1 || i > len(l.kids) {
+		return cfg.ChildKey(l.key, i)
 	}
+	if l.kids[i-1] == "" {
+		l.kids[i-1] = cfg.ChildKey(l.key, i)
+	}
+	return l.kids[i-1]
+}
+
+func (l *localizer) atom(a asp.Atom) asp.Atom {
+	name, child, ok := decodeAnn(a.Predicate)
+	if ok {
+		a.Predicate = name + traceSep + l.child(child)
+	} else if _, shared := l.preds[name]; !shared {
+		a.Predicate = name + traceSep + l.key
+	}
+	return a
+}
+
+func (l *localizer) rule(r asp.Rule) asp.Rule {
 	out := asp.Rule{Pos: r.Pos}
 	if r.Head != nil {
-		h := localAtom(*r.Head)
+		h := l.atom(*r.Head)
 		out.Head = &h
 	}
 	if len(r.Choice) > 0 {
 		out.Choice = make([]asp.Atom, len(r.Choice))
 		for i, a := range r.Choice {
-			out.Choice[i] = localAtom(a)
+			out.Choice[i] = l.atom(a)
 		}
 	}
 	out.Body = make([]asp.Literal, len(r.Body))
-	for i, l := range r.Body {
-		if l.IsCmp {
-			out.Body[i] = l
+	for i, lit := range r.Body {
+		if lit.IsCmp {
+			out.Body[i] = lit
 			continue
 		}
-		out.Body[i] = asp.Literal{Atom: localAtom(l.Atom), Negated: l.Negated, Pos: l.Pos}
+		out.Body[i] = asp.Literal{Atom: l.atom(lit.Atom), Negated: lit.Negated, Pos: lit.Pos}
 	}
 	return out
+}
+
+// forNodes calls visit for every interior node of the subtree at node,
+// whose trace key is key, in depth-first order, and stops at the first
+// error.
+func (g *Grammar) forNodes(node *cfg.Tree, key string, visit func(*cfg.Tree, *localizer) error) error {
+	if node.Prod == nil {
+		return nil
+	}
+	l := localizer{preds: g.ctxPreds, key: key, kids: make([]string, len(node.Children))}
+	if err := visit(node, &l); err != nil {
+		return err
+	}
+	for i, c := range node.Children {
+		if c.Prod == nil {
+			continue
+		}
+		if err := g.forNodes(c, l.child(i+1), visit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Localize returns the instances rule r contributes to G[PT] when it
 // annotates production prodID: r localized at every node of t that
-// applies the production, in walk order.
-func Localize(r asp.Rule, prodID int, t *cfg.Tree) []asp.Rule {
+// applies the production, in walk order, reading a shared context
+// where g's own annotations read it. For every rule g Localizes, that
+// is G:{r}[PT] − G[PT].
+func (g *Grammar) Localize(r asp.Rule, prodID int, t *cfg.Tree) []asp.Rule {
 	var out []asp.Rule
-	t.Walk(func(node *cfg.Tree, tr cfg.Trace) bool {
-		if node.Prod != nil && node.Prod.ID == prodID {
-			out = append(out, localizeRule(r, tr))
+	_ = g.forNodes(t, cfg.RootKey, func(node *cfg.Tree, l *localizer) error {
+		if node.Prod.ID == prodID {
+			out = append(out, l.rule(r))
 		}
-		return true
+		return nil
 	})
 	return out
 }
 
+// Localizes reports whether rule r can join g's annotations with g's
+// context still shared: false when g shares a context (see WithContext)
+// and r defines one of its predicates or reads one through @i, in which
+// case WithHypothesis copies the context into every production and
+// Localize does not give what r adds.
+func (g *Grammar) Localizes(r asp.Rule) bool {
+	return !touchesContext(r, g.ctxPreds)
+}
+
+// touchesContext reports whether rule r defines a predicate of preds in
+// its head or a choice atom, or reads one through an @i annotation.
+func touchesContext(r asp.Rule, preds map[string]struct{}) bool {
+	if len(preds) == 0 {
+		return false
+	}
+	in := func(a asp.Atom) bool {
+		name, _, _ := decodeAnn(a.Predicate)
+		_, ok := preds[name]
+		return ok
+	}
+	if r.Head != nil && in(*r.Head) {
+		return true
+	}
+	for _, a := range r.Choice {
+		if in(a) {
+			return true
+		}
+	}
+	for _, l := range r.Body {
+		if l.IsCmp {
+			continue
+		}
+		if _, _, annotated := decodeAnn(l.Atom.Predicate); annotated && in(l.Atom) {
+			return true
+		}
+	}
+	return false
+}
+
 // TreeProgram builds G[PT]: the union over all interior nodes n (with
-// trace t and production p) of the annotation of p localized at t.
-// Terminal leaves contribute nothing.
+// trace t and production p) of the annotation of p localized at t, plus
+// one copy of a shared context. Terminal leaves contribute nothing.
 func (g *Grammar) TreeProgram(t *cfg.Tree) (*asp.Program, error) {
 	// Pre-count the localized rules (a trace-free walk) so the program's
 	// rule slice is allocated once; membership checks build a fresh tree
 	// program per parse tree, making append growth here a hot cost.
-	total := 0
+	total := len(g.context)
 	var count func(node *cfg.Tree)
 	count = func(node *cfg.Tree) {
 		if node.Prod != nil {
@@ -252,24 +342,20 @@ func (g *Grammar) TreeProgram(t *cfg.Tree) (*asp.Program, error) {
 	}
 	count(t)
 	prog := &asp.Program{Rules: make([]asp.Rule, 0, total)}
-	var err error
-	t.Walk(func(node *cfg.Tree, tr cfg.Trace) bool {
-		if node.Prod == nil {
-			return true
-		}
+	if t.Prod != nil {
+		prog.Rules = append(prog.Rules, g.context...)
+	}
+	err := g.forNodes(t, cfg.RootKey, func(node *cfg.Tree, l *localizer) error {
 		id := node.Prod.ID
 		if id < 0 || id >= len(g.Annotations) {
-			err = fmt.Errorf("asg: tree uses unknown production id %d", id)
-			return false
+			return fmt.Errorf("asg: tree uses unknown production id %d", id)
 		}
-		ann := g.Annotations[id]
-		if ann == nil {
-			return true
+		if ann := g.Annotations[id]; ann != nil {
+			for _, r := range ann.Rules {
+				prog.Rules = append(prog.Rules, l.rule(r))
+			}
 		}
-		for _, r := range ann.Rules {
-			prog.Add(localizeRule(r, tr))
-		}
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -314,30 +400,74 @@ func (g *Grammar) Accepts(tokens []string, opts AcceptOptions) (bool, error) {
 // added to the annotation of every production (paper Section III.A.1).
 // Context atoms are unannotated, so each node sees the context at its own
 // trace.
+//
+// When every rule of C is a ground fact, and no annotation rule defines
+// a predicate of C in its head or a choice atom or reads one through @i,
+// each node's copy of C is the bottom of a splitting set of G(C)[T]
+// (Lifschitz–Turner) whose one answer set is C itself, the same at every
+// node. G(C) then keeps C's facts once, beside annotations it shares
+// with G: TreeProgram adds them once, and localization leaves C's
+// predicates unlocalized, so every node reads the one copy. Any other
+// context is copied into every production's annotation.
 func (g *Grammar) WithContext(c *asp.Program) *Grammar {
 	if c == nil || len(c.Rules) == 0 {
 		return g
 	}
-	// Build each extended annotation in one exact-size allocation rather
-	// than Clone (one copy) followed by Extend (a second, growing copy).
+	facts := slices.Concat(g.context, c.Rules)
+	if preds, ok := factPredicates(facts); ok && !g.annotationsTouch(preds) {
+		statContextShared.Inc()
+		return &Grammar{CFG: g.CFG, Annotations: g.Annotations, AnnLines: g.AnnLines,
+			context: facts, ctxPreds: preds}
+	}
+	statContextCopied.Inc()
+	return g.withCopies(c.Rules)
+}
+
+// factPredicates returns the predicates of rules when every rule is a
+// ground fact over an unannotated predicate.
+func factPredicates(rules []asp.Rule) (map[string]struct{}, bool) {
+	preds := make(map[string]struct{}, len(rules))
+	for _, r := range rules {
+		if !r.IsFact() {
+			return nil, false
+		}
+		if _, _, annotated := decodeAnn(r.Head.Predicate); annotated {
+			return nil, false
+		}
+		preds[r.Head.Predicate] = struct{}{}
+	}
+	return preds, true
+}
+
+// annotationsTouch reports whether some annotation rule defines or reads
+// through @i a predicate of preds.
+func (g *Grammar) annotationsTouch(preds map[string]struct{}) bool {
+	for _, p := range g.Annotations {
+		if p == nil {
+			continue
+		}
+		for _, r := range p.Rules {
+			if touchesContext(r, preds) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// withCopies returns the grammar with its shared context, then extra,
+// appended to every production's annotation: G(C) with a per-node copy
+// of C, each annotation built in one exact-size allocation.
+func (g *Grammar) withCopies(extra []asp.Rule) *Grammar {
 	ann := make([]*asp.Program, len(g.Annotations))
 	for i, p := range g.Annotations {
-		n := 0
+		var rules []asp.Rule
 		if p != nil {
-			n = len(p.Rules)
+			rules = p.Rules
 		}
-		rules := make([]asp.Rule, 0, n+len(c.Rules))
-		if p != nil {
-			rules = append(rules, p.Rules...)
-		}
-		rules = append(rules, c.Rules...)
-		ann[i] = &asp.Program{Rules: rules}
+		ann[i] = &asp.Program{Rules: slices.Concat(rules, g.context, extra)}
 	}
-	var lines []int
-	if g.AnnLines != nil {
-		lines = append([]int(nil), g.AnnLines...)
-	}
-	return &Grammar{CFG: g.CFG, Annotations: ann, AnnLines: lines}
+	return &Grammar{CFG: g.CFG, Annotations: ann, AnnLines: slices.Clone(g.AnnLines)}
 }
 
 // HypothesisRule is a learnable annotation rule attached to a specific
@@ -365,16 +495,27 @@ func (h HypothesisRule) Cost() int {
 }
 
 // WithHypothesis returns G : H — the grammar extended by adding each
-// hypothesis rule to its production's annotation.
+// hypothesis rule to its production's annotation. A shared context stays
+// shared unless some rule of H breaks its condition (see Localizes); then
+// G : H copies the context into every production, as G(C) would have.
 func (g *Grammar) WithHypothesis(h []HypothesisRule) (*Grammar, error) {
-	out := g.Clone()
+	shared := true
 	for _, hr := range h {
-		if hr.ProdID < 0 || hr.ProdID >= len(out.Annotations) {
+		if hr.ProdID < 0 || hr.ProdID >= len(g.Annotations) {
 			return nil, fmt.Errorf("asg: hypothesis rule for unknown production %d", hr.ProdID)
 		}
-		if err := validateAnnotation(out.CFG.Productions[hr.ProdID], asp.NewProgram(hr.Rule)); err != nil {
+		if err := validateAnnotation(g.CFG.Productions[hr.ProdID], asp.NewProgram(hr.Rule)); err != nil {
 			return nil, err
 		}
+		shared = shared && g.Localizes(hr.Rule)
+	}
+	var out *Grammar
+	if shared {
+		out = g.Clone()
+	} else {
+		out = g.withCopies(nil)
+	}
+	for _, hr := range h {
 		if out.Annotations[hr.ProdID] == nil {
 			out.Annotations[hr.ProdID] = asp.NewProgram()
 		}
@@ -491,9 +632,15 @@ func (g *Grammar) String() string {
 	var sb strings.Builder
 	for i, p := range g.CFG.Productions {
 		sb.WriteString(p.String())
-		if i < len(g.Annotations) && g.Annotations[i] != nil && len(g.Annotations[i].Rules) > 0 {
+		var rules []asp.Rule
+		if i < len(g.Annotations) && g.Annotations[i] != nil {
+			rules = g.Annotations[i].Rules
+		}
+		// A shared context renders under every production, as G(C)
+		// reads it.
+		if len(rules)+len(g.context) > 0 {
 			sb.WriteString(" {\n")
-			for _, r := range g.Annotations[i].Rules {
+			for _, r := range slices.Concat(rules, g.context) {
 				sb.WriteString("  ")
 				sb.WriteString(DisplayRule(r))
 				sb.WriteByte('\n')

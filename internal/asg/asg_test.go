@@ -141,9 +141,11 @@ s -> ε { size(0). }
 	}
 }
 
-// TestLocalizeMatchesTreeProgram: the instances Localize returns are the
-// rules that adding the rule to its production adds to G[PT], one per
-// node applying the production.
+// TestLocalizeMatchesTreeProgram: the instances a grammar's Localize
+// returns are the rules that adding the rule to its production adds to
+// G[PT], one per node applying the production: for G, for a G(C) that
+// shares C (the rule reads odd where C's one copy is), and for a G(C)
+// that copies C (a context rule is no fact).
 func TestLocalizeMatchesTreeProgram(t *testing.T) {
 	g := mustASG(t, anbncn)
 	tree, err := g.CFG.Parse(toks("a a b b c c"))
@@ -155,36 +157,61 @@ func TestLocalizeMatchesTreeProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := HypothesisRule{Rule: r.Rules[0], ProdID: 1} // as -> "a" as
-	base, err := g.TreeProgram(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gh, err := g.WithHypothesis([]HypothesisRule{h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := gh.TreeProgram(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := map[string]int{}
-	for _, r := range full.Rules {
-		added[r.String()]++
-	}
-	for _, r := range base.Rules {
-		added[r.String()]--
-	}
-	inst := Localize(h.Rule, h.ProdID, tree)
-	if len(inst) != 2 {
-		t.Fatalf("Localize returned %d instances, want 2 (two nodes apply the production)", len(inst))
-	}
-	for _, r := range inst {
-		added[r.String()]--
-	}
-	for rule, n := range added {
-		if n != 0 {
-			t.Errorf("rule %s: %+d between G:H[PT] and G[PT] ∪ Localize", rule, n)
-		}
+	for _, tt := range []struct {
+		name, context string
+		shared        bool
+	}{
+		{name: "no context"},
+		{name: "shared context", context: "odd. limit(3).", shared: true},
+		{name: "copied context", context: "odd :- not even.", shared: false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			gc := g
+			if tt.context != "" {
+				ctx, err := asp.Parse(tt.context)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gc = g.WithContext(ctx)
+			}
+			if got := gc.context != nil; got != tt.shared {
+				t.Fatalf("context shared = %v, want %v", got, tt.shared)
+			}
+			if !gc.Localizes(h.Rule) {
+				t.Fatal("Localizes rejects a rule that defines no context predicate")
+			}
+			base, err := gc.TreeProgram(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, err := gc.WithHypothesis([]HypothesisRule{h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := gh.TreeProgram(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			added := map[string]int{}
+			for _, r := range full.Rules {
+				added[r.String()]++
+			}
+			for _, r := range base.Rules {
+				added[r.String()]--
+			}
+			inst := gc.Localize(h.Rule, h.ProdID, tree)
+			if len(inst) != 2 {
+				t.Fatalf("Localize returned %d instances, want 2 (two nodes apply the production)", len(inst))
+			}
+			for _, r := range inst {
+				added[r.String()]--
+			}
+			for rule, n := range added {
+				if n != 0 {
+					t.Errorf("rule %s: %+d between G:H[PT] and G[PT] ∪ Localize", rule, n)
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // with an answer set, and Accepts asks the same of the string's parse
 // trees. FuzzGenerateAccepts checks that the two agree on small fuzzed
 // grammars, so callers may install Generate's output without re-checking
-// each string through Accepts.
+// each string through Accepts, and that TreeValid, which may read one
+// shared copy of the context, agrees with the literal G(C)[T].
 
 // fuzzTemplates are the annotation rules a fuzzed production draws from:
 // facts, constraints, @i reads, negation and one comparison. Up to
@@ -38,12 +39,16 @@ var (
 	fuzzTerminals    = []string{`"x"`, `"y"`}
 	// fuzzFacts are the atoms a fuzzed context may assert.
 	fuzzFacts = []string{"r", "t", "p"}
+	// fuzzContextRule is the one non-fact rule a fuzzed context may
+	// hold; with it, G(C) copies the context into every production.
+	fuzzContextRule = "r :- not t."
 )
 
 // decodeFuzzASG decodes a small ASG source and a context: at most 3
 // nonterminals (production 0 defines the start symbol s), at most 6
 // productions of 0–3 symbols each, and up to two annotation templates
-// per production. Missing bytes read as zero. Nothing stops two
+// per production; the context holds some of fuzzFacts and, with flags
+// bit 5, fuzzContextRule. Missing bytes read as zero. Nothing stops two
 // productions from being equal (an ambiguous pair) or empty (an
 // ε-production).
 func decodeFuzzASG(data []byte) (string, *asp.Program) {
@@ -62,6 +67,13 @@ func decodeFuzzASG(data []byte) (string, *asp.Program) {
 		if (flags>>2)&(1<<i) != 0 {
 			ctx.Add(asp.NewFact(asp.NewAtom(f)))
 		}
+	}
+	if flags&(1<<5) != 0 {
+		rule, err := asp.Parse(fuzzContextRule)
+		if err != nil {
+			panic(err)
+		}
+		ctx.Extend(rule)
 	}
 	var src strings.Builder
 	for n := 1 + next()%6; n > 0; n-- {
@@ -145,9 +157,59 @@ func derivesItself(g *cfg.Grammar) bool {
 	return false
 }
 
+// literalTreeProgram builds G(C)[T] as Definition 2 reads it, apart from
+// TreeProgram: every interior node contributes its production's
+// annotation and one copy of C, each atom localized at the node's trace
+// and `a@i` at its i-th child's.
+func literalTreeProgram(g *Grammar, ctx *asp.Program, tree *cfg.Tree) *asp.Program {
+	out := asp.NewProgram()
+	tree.Walk(func(node *cfg.Tree, tr cfg.Trace) bool {
+		if node.Prod == nil {
+			return true
+		}
+		var rules []asp.Rule
+		if ann := g.Annotations[node.Prod.ID]; ann != nil {
+			rules = append(rules, ann.Rules...)
+		}
+		for _, r := range append(rules, ctx.Rules...) {
+			out.Add(literalLocalize(r, tr))
+		}
+		return true
+	})
+	return out
+}
+
+func literalLocalize(r asp.Rule, tr cfg.Trace) asp.Rule {
+	at := func(a asp.Atom) asp.Atom {
+		name, child, ok := DecodeAnnotated(a.Predicate)
+		trace := tr
+		if ok {
+			trace = tr.Child(child)
+		}
+		a.Predicate = name + "@" + trace.Key()
+		return a
+	}
+	out := asp.Rule{}
+	if r.Head != nil {
+		h := at(*r.Head)
+		out.Head = &h
+	}
+	for _, a := range r.Choice {
+		out.Choice = append(out.Choice, at(a))
+	}
+	for _, l := range r.Body {
+		if !l.IsCmp {
+			l.Atom = at(l.Atom)
+		}
+		out.Body = append(out.Body, l)
+	}
+	return out
+}
+
 // FuzzGenerateAccepts: at MaxNodes 7, every string Generate returns is
-// accepted, and every string of the CFG's bounded language that Accepts
-// admits is generated.
+// accepted, every string of the CFG's bounded language that Accepts
+// admits is generated, and G(C)'s TreeValid agrees with the literal
+// G(C)[T] on every derivation tree within the bound.
 func FuzzGenerateAccepts(f *testing.F) {
 	seeds := [][]byte{
 		// TestGenerateAcceptsAgreement's grammars: accept/reject over
@@ -183,6 +245,21 @@ func FuzzGenerateAccepts(f *testing.F) {
 		}
 		gc := g.WithContext(ctx)
 		const maxNodes = 7
+		gc.CFG.Generate(cfg.GenerateOptions{MaxNodes: maxNodes}, func(tree *cfg.Tree) bool {
+			models, err := asp.Solve(literalTreeProgram(g, ctx, tree), asp.SolveOptions{MaxModels: 1})
+			if err != nil {
+				t.Fatalf("literal G(C)[T] of %q: %v\n%s\ncontext: %s", tree.Text(), err, src, ctx)
+			}
+			valid, err := gc.TreeValid(tree)
+			if err != nil {
+				t.Fatalf("TreeValid(%q): %v\n%s\ncontext: %s", tree.Text(), err, src, ctx)
+			}
+			if want := len(models) > 0; valid != want {
+				t.Fatalf("TreeValid(%q) = %v, literal G(C)[T] has an answer set: %v\n%s\ncontext: %s",
+					tree.Text(), valid, want, src, ctx)
+			}
+			return true
+		})
 		generated, err := gc.Generate(GenerateOptions{MaxNodes: maxNodes})
 		if err != nil {
 			t.Fatalf("Generate: %v\n%s\ncontext: %s", err, src, ctx)

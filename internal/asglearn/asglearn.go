@@ -140,13 +140,18 @@ func (t *Task) Learn(opts ilasp.LearnOptions) (*Result, error) {
 // or no parse tree, no H accepts it. The search then answers every
 // membership check from signatures built with one parse and one solve
 // per example (vectorize declines bases with several answer sets).
+// Candidates are localized through each example's G(C), so they read a
+// shared context where its annotations do; a candidate that defines a
+// context predicate or reads one through @i would make G(C):H copy the
+// context instead, and the task does not decompose.
 type asgOracle struct {
 	task  *Task
 	cands []ilasp.Candidate
 
 	// trees[i] is example i's one parse tree, nil when the string does
-	// not parse. Set by Decompose.
-	trees []*cfg.Tree
+	// not parse, and grammars[i] its G(C). Set by Decompose.
+	trees    []*cfg.Tree
+	grammars []*asg.Grammar
 }
 
 var _ ilasp.Oracle = (*asgOracle)(nil)
@@ -173,8 +178,9 @@ func (o *asgOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 // Decompose parses every example once; its base program is (G(C))[T]
 // for its parse tree T. It declines — and the search re-solves per
 // hypothesis, with Covers' lazy errors — when a candidate is headed or a
-// choice rule, when WithHypothesis rejects a candidate, or when an
-// example has more than one parse tree.
+// choice rule, when WithHypothesis rejects a candidate, when an example
+// has more than one parse tree, or when a candidate does not localize in
+// an example's G(C) (asg.Grammar.Localizes).
 func (o *asgOracle) Decompose() ([]ilasp.Example, []*asp.Program, error) {
 	t := o.task
 	for _, h := range t.Space {
@@ -188,6 +194,7 @@ func (o *asgOracle) Decompose() ([]ilasp.Example, []*asp.Program, error) {
 	examples := make([]ilasp.Example, len(t.Examples))
 	bases := make([]*asp.Program, len(t.Examples))
 	o.trees = make([]*cfg.Tree, len(t.Examples))
+	o.grammars = make([]*asg.Grammar, len(t.Examples))
 	for i, e := range t.Examples {
 		examples[i] = ilasp.Example{ID: e.ID, Positive: e.Positive}
 		trees := t.Initial.CFG.ParseAll(e.Tokens, cfg.ParseOptions{MaxTrees: t.MaxParseTrees})
@@ -197,20 +204,27 @@ func (o *asgOracle) Decompose() ([]ilasp.Example, []*asp.Program, error) {
 		if len(trees) == 0 {
 			continue // no hypothesis accepts the string
 		}
-		base, err := t.Initial.WithContext(e.Context).TreeProgram(trees[0])
+		gc := t.Initial.WithContext(e.Context)
+		for _, h := range t.Space {
+			if !gc.Localizes(h.Rule) {
+				return nil, nil, fmt.Errorf("asglearn: candidate %s defines or reads through @i a context predicate of example %s", h, e.ID)
+			}
+		}
+		base, err := gc.TreeProgram(trees[0])
 		if err != nil {
 			return nil, nil, err
 		}
-		o.trees[i], bases[i] = trees[0], base
+		o.trees[i], o.grammars[i], bases[i] = trees[0], gc, base
 	}
 	return examples, bases, nil
 }
 
 // Instances localizes the candidate at the nodes of the example's parse
-// tree that apply its production.
+// tree that apply its production, as the example's G(C) localizes its
+// own annotations.
 func (o *asgOracle) Instances(c, i int) []asp.Rule {
 	h := o.task.Space[c]
-	return asg.Localize(h.Rule, h.ProdID, o.trees[i])
+	return o.grammars[i].Localize(h.Rule, h.ProdID, o.trees[i])
 }
 
 // ProductionBias pairs an ILASP language bias with the production(s) its

@@ -108,6 +108,10 @@ func FuzzSolveDifferential(f *testing.F) {
 		"p :- q. q :- p. r :- not r, not p.",
 		"a :- b. b :- c. c :- a. b :- not d. d :- not b.",
 		"{g}. p :- q. q :- p. p :- g. :- not p.",
+		// Definite once grounded: negative literals over atoms outside
+		// the domain drop, and a constraint fires or not.
+		"q(a). p(X) :- q(X), not r(X). :- p(a), not s.",
+		"a. b :- a, not c. :- b, not a.",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -136,6 +140,14 @@ func FuzzSolveDifferential(f *testing.F) {
 		}
 		if err := checkAnswerSets(g, models); err != nil {
 			t.Fatalf("%q: %v", src, err)
+		}
+		// HasAnswerSet answers decided programs without a model.
+		has, err := HasAnswerSet(prog)
+		if err != nil {
+			t.Fatalf("%q: HasAnswerSet: %v", src, err)
+		}
+		if want := len(bruteForceAnswerSets(g)) > 0; has != want {
+			t.Fatalf("%q: HasAnswerSet = %v, want %v", src, has, want)
 		}
 	})
 }

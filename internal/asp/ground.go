@@ -130,6 +130,11 @@ type GroundProgram struct {
 	index map[string]int32 // atom key -> id
 
 	cp *CompiledProgram // cached clause form (see compile.go)
+
+	// verdict is the grounder's decision of a definite program
+	// (decideDefinite); verdictOpen for every other program, including
+	// any not built by Ground.
+	verdict int8
 }
 
 // AtomID returns the id of a ground atom, or -1 if the atom does not
@@ -804,6 +809,7 @@ func (g *grounder) finalize() *GroundProgram {
 	}
 	clear(seen)
 	g.pending = g.pending[:0]
+	out.verdict = decideDefinite(out.Rules)
 	return out
 }
 

@@ -25,6 +25,9 @@ var (
 	statBackjumps      = obs.C("asp.solve.backjumps")
 	statLearnedNogoods = obs.C("asp.solve.learned_nogoods")
 	statModelsFound    = obs.C("asp.solve.models")
+	// statSolveDefinite counts the solves decided from the grounding
+	// domain (decideDefinite), without clause form or search.
+	statSolveDefinite = obs.C("asp.solve.definite")
 )
 
 // flushPlanStats publishes the grounder's per-call plan/scan

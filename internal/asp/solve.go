@@ -120,8 +120,17 @@ func Solve(p *Program, opts SolveOptions) ([]*AnswerSet, error) {
 }
 
 // HasAnswerSet reports whether the program has at least one answer set.
+// A program the grounder decided (see decideDefinite) is answered
+// without building its answer set.
 func HasAnswerSet(p *Program) (bool, error) {
-	models, err := Solve(p, SolveOptions{MaxModels: 1})
+	g, err := Ground(p, GroundingOptions{})
+	if err != nil {
+		return false, err
+	}
+	if g.verdict != verdictOpen {
+		return solveDecided(g, SolveOptions{})
+	}
+	models, err := SolveGround(g, SolveOptions{MaxModels: 1})
 	if err != nil {
 		return false, err
 	}
@@ -130,16 +139,101 @@ func HasAnswerSet(p *Program) (bool, error) {
 
 // SolveGround enumerates the stable models of a ground program.
 //
-// The program is compiled once into its Clark-completion clause form
-// (compile.go) and searched by the CDNL engine (cdnl.go): unit
-// propagation, conflict learning with backjumping, and, for non-tight
-// programs, an unfounded-set check that rejects completion models
-// without well-founded support. Each model found is blocked before the
-// search continues, so enumeration is deterministic.
+// A program the grounder decided (see decideDefinite) returns its one
+// model, or none, without clause form or search. Every other program is
+// compiled once into its Clark-completion clause form (compile.go) and
+// searched by the CDNL engine (cdnl.go): unit propagation, conflict
+// learning with backjumping, and, for non-tight programs, an
+// unfounded-set check that rejects completion models without
+// well-founded support. Each model found is blocked before the search
+// continues, so enumeration is deterministic.
 func SolveGround(g *GroundProgram, opts SolveOptions) ([]*AnswerSet, error) {
+	if g.verdict != verdictOpen {
+		sat, err := solveDecided(g, opts)
+		if err != nil {
+			return nil, err
+		}
+		if !sat {
+			return []*AnswerSet{}, nil
+		}
+		atoms := make([]Atom, 0, len(g.Atoms))
+		for _, a := range g.Atoms {
+			if !isInternalAtom(a) {
+				atoms = append(atoms, a)
+			}
+		}
+		return []*AnswerSet{NewAnswerSet(atoms...)}, nil
+	}
 	s := solverPool.Get().(*cdnlSolver)
 	defer solverPool.Put(s)
 	return solveGroundScratch(g, opts, s)
+}
+
+// The grounder's verdict on a ground program (GroundProgram.verdict).
+const (
+	// verdictOpen leaves the program to the CDNL search: some headed
+	// rule keeps a negative literal, or Ground did not build it.
+	verdictOpen int8 = iota
+	// verdictModel: definite, and the grounding domain is its one
+	// answer set.
+	verdictModel
+	// verdictNone: definite, and a constraint instance fires in the
+	// grounding domain, so there is no answer set.
+	verdictNone
+)
+
+// decideDefinite decides a program Ground finalized from rules, when no
+// headed rule keeps a negative literal. The grounding domain is the
+// least fixpoint of the rule instances with negative literals ignored,
+// and the finalized rules drop only negative literals over atoms outside
+// the domain; so the domain, which is exactly the program's atom table,
+// is then the least model of the headed rules and the only candidate
+// answer set. Every body atom lies in the domain, so a constraint
+// instance fires in it exactly when it keeps no negative literal.
+// Compiled choice rules keep their negative literals and stay open.
+func decideDefinite(rules []GroundRule) int8 {
+	verdict := verdictModel
+	for i := range rules {
+		r := &rules[i]
+		switch {
+		case len(r.NegBody) == 0:
+			if r.Head < 0 {
+				verdict = verdictNone
+			}
+		case r.Head >= 0:
+			return verdictOpen
+		}
+	}
+	return verdict
+}
+
+// solveDecided reports the grounder's verdict on a decided program under
+// the solve contract and telemetry of the CDNL path: a cancelled Context
+// still returns its error, and the decision counts as a solve (calls,
+// duration, models, the asp.solve span) and in asp.solve.definite.
+func solveDecided(g *GroundProgram, opts SolveOptions) (bool, error) {
+	t0 := time.Now()
+	sp := obs.StartSpan("asp.solve")
+	var err error
+	if opts.Context != nil {
+		err = opts.Context.Err()
+	}
+	sat := err == nil && g.verdict == verdictModel
+	models := 0
+	if sat {
+		models = 1
+	}
+	statSolveCalls.Inc()
+	statSolveDefinite.Inc()
+	statSolveDur.ObserveSince(t0)
+	statModelsFound.Add(int64(models))
+	if obs.TracingEnabled() {
+		sp.SetAttr("atoms", strconv.Itoa(g.NumAtoms()))
+		sp.SetAttr("definite", "true")
+		sp.SetAttr("models", strconv.Itoa(models))
+	}
+	sp.End()
+	return sat, err
 }
 
 // solverPool recycles solver state between solves: the grown per-atom

@@ -80,17 +80,23 @@ func (tr Trace) String() string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
-// Key renders a compact unique encoding usable in predicate manglings.
+// Key renders a compact unique encoding usable in predicate manglings:
+// RootKey for the root, and ChildKey of its parent's key for any other
+// node.
 func (tr Trace) Key() string {
-	if len(tr) == 0 {
-		return "r"
+	key := RootKey
+	for _, x := range tr {
+		key = ChildKey(key, x)
 	}
-	parts := make([]string, len(tr))
-	for i, x := range tr {
-		parts[i] = strconv.Itoa(x)
-	}
-	return "r_" + strings.Join(parts, "_")
+	return key
 }
+
+// RootKey is the root's trace key.
+const RootKey = "r"
+
+// ChildKey returns the trace key of child i (1-based) of the node whose
+// trace key is key, so a walk can render each node's key once.
+func ChildKey(key string, i int) string { return key + "_" + strconv.Itoa(i) }
 
 // Child extends the trace with a 1-based child index.
 func (tr Trace) Child(i int) Trace {

@@ -1,7 +1,11 @@
 package coalition
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -245,6 +249,118 @@ func TestTCPDropCounted(t *testing.T) {
 	if got := len(ch); got != 1 {
 		t.Errorf("subscriber holds %d policies, want 1", got)
 	}
+}
+
+// frameCount reads a coalition.frames counter by name.
+func frameCount(name string) int64 {
+	return obs.Default.Snapshot().Counters["coalition.frames."+name]
+}
+
+// dialRaw connects to a hub as a bare peer and reads its hello line.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := readHello(conn, bufio.NewScanner(conn)); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestTCPMalformedFrameCounted: the hub relays a line that does not
+// decode; the receiving transport skips it, counts it, and still
+// delivers the valid frame behind it.
+func TestTCPMalformedFrameCounted(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	tb, err := DialTCP(hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tb.Close() }()
+	ch, _, err := tb.Subscribe("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := dialRaw(t, hub.Addr())
+	before := frameCount("malformed")
+	if _, err := io.WriteString(raw, "{not json\n"+`{"from":"a","id":"p1"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case sp := <-ch:
+		if sp.ID != "p1" {
+			t.Fatalf("received %q, want p1", sp.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the valid frame behind a malformed one never arrived")
+	}
+	// Frames are read in order: the malformed one was handled first.
+	if got := frameCount("malformed") - before; got != 1 {
+		t.Errorf("coalition.frames.malformed rose by %d, want 1", got)
+	}
+}
+
+// TestTCPOversizeFrameCounted: a line over maxFrameBytes ends the
+// connection it arrives on, and is counted, at the hub and at a
+// transport.
+func TestTCPOversizeFrameCounted(t *testing.T) {
+	oversize := append(bytes.Repeat([]byte("x"), maxFrameBytes+10), '\n')
+	t.Run("hub", func(t *testing.T) {
+		hub, err := NewTCPHub("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = hub.Close() }()
+		raw := dialRaw(t, hub.Addr())
+		before := frameCount("oversize")
+		if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// The hub may close the connection before the write completes.
+		_, _ = raw.Write(oversize)
+		if _, err := raw.Read(make([]byte, 1)); err == nil {
+			t.Error("the hub kept the connection open after an oversize line")
+		}
+		waitFor(t, "a counted oversize frame", func() bool { return frameCount("oversize")-before == 1 })
+	})
+	t.Run("transport", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ln.Close() }()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer func() { _ = conn.Close() }()
+			_, _ = conn.Write(append([]byte(hubHello+"\n"), oversize...))
+			// Hold the connection until the transport ends it.
+			_, _ = conn.Read(make([]byte, 1))
+		}()
+		before := frameCount("oversize")
+		tr, err := DialTCP(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "a counted oversize frame", func() bool { return frameCount("oversize")-before == 1 })
+		if _, _, err := tr.Subscribe("b", 1); err == nil {
+			t.Error("the transport's bus stayed open after an oversize line")
+		}
+		_ = tr.Close()
+		<-served
+	})
 }
 
 func TestTCPTransportEndToEnd(t *testing.T) {

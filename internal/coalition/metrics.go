@@ -18,4 +18,10 @@ var (
 
 	statHubMsgs  = obs.C("coalition.hub.messages")
 	statHubBytes = obs.C("coalition.hub.bytes")
+
+	// statFramesMalformed counts lines a TCPTransport skipped because
+	// they do not decode; statFramesOversize counts connections a line
+	// over maxFrameBytes ended, at the hub or at a transport.
+	statFramesMalformed = obs.C("coalition.frames.malformed")
+	statFramesOversize  = obs.C("coalition.frames.oversize")
 )

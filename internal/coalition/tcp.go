@@ -3,6 +3,7 @@ package coalition
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -45,6 +46,26 @@ const hubHello = "agenp-hub"
 // helloTimeout bounds DialTCP's wait for the hub's hello line.
 const helloTimeout = 10 * time.Second
 
+// maxFrameBytes bounds one line on the wire. A longer line ends the
+// connection it arrives on, at the hub and at a transport alike, and
+// counts in coalition.frames.oversize.
+const maxFrameBytes = 1024 * 1024
+
+// newFrameScanner returns the line scanner both ends read frames with.
+func newFrameScanner(conn net.Conn) *bufio.Scanner {
+	scanner := bufio.NewScanner(conn)
+	scanner.Buffer(make([]byte, 0, 64*1024), maxFrameBytes)
+	return scanner
+}
+
+// countOversize counts a frame loop that a line over maxFrameBytes
+// ended.
+func countOversize(scanner *bufio.Scanner) {
+	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+		statFramesOversize.Inc()
+	}
+}
+
 // Addr returns the hub's listen address.
 func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
@@ -79,8 +100,8 @@ func (h *TCPHub) serve(conn net.Conn) {
 		h.mu.Unlock()
 		_ = conn.Close()
 	}()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	scanner := newFrameScanner(conn)
+	defer countOversize(scanner)
 	for scanner.Scan() {
 		line := append([]byte{}, scanner.Bytes()...)
 		line = append(line, '\n')
@@ -137,8 +158,7 @@ func DialTCP(addr string) (*TCPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coalition: dial hub: %w", err)
 	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	scanner := newFrameScanner(conn)
 	if err := readHello(conn, scanner); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("coalition: dial hub: %w", err)
@@ -171,10 +191,12 @@ func (t *TCPTransport) read(scanner *bufio.Scanner) {
 	for scanner.Scan() {
 		var sp SharedPolicy
 		if err := json.Unmarshal(scanner.Bytes(), &sp); err != nil {
+			statFramesMalformed.Inc()
 			continue // skip malformed frames
 		}
 		_ = t.bus.Publish(sp) // fails only once Close has closed the bus
 	}
+	countOversize(scanner)
 	_ = t.bus.Close() // connection closed: close subscriber channels
 }
 
