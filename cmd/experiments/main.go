@@ -33,7 +33,6 @@ func run(args []string, stdout io.Writer) error {
 	runArg := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	quick := fs.Bool("quick", false, "reduced dataset sizes")
 	seed := fs.Uint64("seed", 0, "generator seed (0 = default)")
-	parallel := fs.Int("parallel", 0, "learner coverage-check workers (0 = GOMAXPROCS, 1 = serial)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	stats := fs.Bool("stats", false, "dump the telemetry registry to stderr on exit")
 	trace := fs.String("trace", "", "write span trace as JSON lines to this file (see agenptrace)")
@@ -63,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
 
 	ids := experiments.IDs()
 	if *runArg != "" {

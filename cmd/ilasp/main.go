@@ -37,7 +37,6 @@ func run(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 40, "number of generated examples (access/cav demos)")
 	seed := fs.Uint64("seed", 20260704, "generator seed")
 	noise := fs.Bool("noise", false, "noise-tolerant search")
-	parallel := fs.Int("parallel", 0, "coverage-check workers (0 = GOMAXPROCS, 1 = serial)")
 	stats := fs.Bool("stats", false, "dump the telemetry registry to stderr on exit")
 	trace := fs.String("trace", "", "write span trace as JSON lines to this file (see agenptrace)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -113,7 +112,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "hypothesis space: %d candidate rules\n", len(space))
 	}
 	fmt.Fprintf(stdout, "examples: %d\n", len(task.Examples))
-	opts.Parallelism = *parallel
 	start := time.Now()
 	res, err := task.LearnIndependent(opts)
 	if err != nil {

@@ -256,7 +256,7 @@ func (a *AMS) adaptLocked() error {
 	sp := obs.StartSpan("agenp.adapt")
 	defer sp.End()
 	examples := core.ExamplesFromFeedback(a.feedback)
-	evo, err := a.models.Latest().Evolve(a.space, examples, core.EvolveOptions{})
+	evo, err := a.models.Latest().Evolve(a.space, examples)
 	if err != nil {
 		return fmt.Errorf("agenp: PAdaP adaptation: %w", err)
 	}

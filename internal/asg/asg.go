@@ -540,9 +540,6 @@ type GenerateOptions struct {
 	// MaxStrings caps the number of *valid* strings returned
 	// (0 = unlimited within MaxNodes).
 	MaxStrings int
-	// MaxCandidates caps the number of candidate trees examined
-	// (0 = unlimited).
-	MaxCandidates int
 }
 
 // Generate enumerates the strings of L(G) derivable with trees of at most
@@ -551,16 +548,11 @@ type GenerateOptions struct {
 // trees) are suppressed.
 func (g *Grammar) Generate(opts GenerateOptions) ([]Generated, error) {
 	var (
-		out        []Generated
-		seen       = make(map[string]struct{})
-		candidates int
-		firstErr   error
+		out      []Generated
+		seen     = make(map[string]struct{})
+		firstErr error
 	)
 	g.CFG.Generate(cfg.GenerateOptions{MaxNodes: opts.MaxNodes}, func(t *cfg.Tree) bool {
-		candidates++
-		if opts.MaxCandidates > 0 && candidates > opts.MaxCandidates {
-			return false
-		}
 		text := t.Text()
 		if _, dup := seen[text]; dup {
 			return true

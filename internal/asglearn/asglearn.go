@@ -127,9 +127,8 @@ func (t *Task) Learn(opts ilasp.LearnOptions) (*Result, error) {
 	}, nil
 }
 
-// asgOracle adapts the task to the ILASP search engine. Covers is safe
-// for the search's concurrent calls: membership checks build fresh
-// grammars per call. There is no verdict memo: a search checks each
+// asgOracle adapts the task to the ILASP search engine. Covers builds a
+// fresh grammar per call. There is no verdict memo: a search checks each
 // hypothesis at most once, and every Learn builds a fresh oracle.
 //
 // It is also the task's Decomposer. Constraints only remove answer sets,

@@ -87,9 +87,8 @@ func decodeASGTask(t *testing.T, data []byte) (*Task, ilasp.LearnOptions) {
 	}
 	flags := next()
 	opts := ilasp.LearnOptions{
-		Noise:       flags&1 != 0,
-		MaxRules:    1 + (flags>>1)%3,
-		Parallelism: 1 + (flags>>3)&1,
+		Noise:    flags&1 != 0,
+		MaxRules: 1 + (flags>>1)%3,
 	}
 	task := &Task{Initial: asg.MustParseASG(defGrammar), MaxParseTrees: (flags >> 4) % 3}
 	for n := next() % 7; n > 0; n-- {
@@ -385,7 +384,7 @@ func TestSignaturePathTaken(t *testing.T) {
 		{"out-of-range candidate", outOfRange, -1},
 		{"ambiguous string", ambiguous, -1},
 	}
-	opts := ilasp.LearnOptions{MaxRules: 2, Parallelism: 1}
+	opts := ilasp.LearnOptions{MaxRules: 2}
 	for _, c := range cases {
 		s0, f0, g0 := searches.Value(), fallbacks.Value(), groundCalls.Value()
 		res, err := c.task.Learn(opts)

@@ -104,16 +104,30 @@ func chainProgram(n int) *GroundProgram {
 	return g
 }
 
-// TestCDNLContextCancel: a cancelled context aborts the solve from
-// inside unit propagation (the chain forces >4096 propagations before
-// any decision), and the same solver solves cleanly afterwards — a
-// stale context error must not leak across runs.
+// cancelAfterFirst is a context that reports cancellation from its
+// second Err call on, so a solve passes the check before search and is
+// cancelled from inside it.
+type cancelAfterFirst struct {
+	context.Context
+	calls int
+}
+
+func (c *cancelAfterFirst) Err() error {
+	c.calls++
+	if c.calls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCDNLContextCancel: a context cancelled during the solve aborts it
+// from inside unit propagation (the chain forces >4096 propagations
+// before any decision), and the same solver solves cleanly afterwards —
+// a stale context error must not leak across runs.
 func TestCDNLContextCancel(t *testing.T) {
 	g := chainProgram(3 * (ctxCheckMask + 1))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	s := &cdnlSolver{}
-	_, err := solveGroundScratch(g, SolveOptions{Context: ctx}, s)
+	_, err := solveGroundScratch(g, SolveOptions{Context: &cancelAfterFirst{Context: context.Background()}}, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve: got err %v, want context.Canceled", err)
 	}
@@ -124,6 +138,29 @@ func TestCDNLContextCancel(t *testing.T) {
 	}
 	if len(models) != 1 || models[0].Len() != len(g.Atoms) {
 		t.Fatalf("reuse after cancel: got %d models, want the full chain", len(models))
+	}
+}
+
+// TestSolveCancelledContext: a context cancelled before the call fails
+// the solve with its error on both paths — open programs that
+// propagation alone decides, with or without a choice rule, and a
+// definite program the grounder decides.
+func TestSolveCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, src := range []string{
+		"c. b :- not c. a :- not b.",
+		"{a}. :- a.",
+		"a. b :- a.",
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, err := Solve(prog, SolveOptions{Context: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, %v; want context.Canceled", src, modelSet(models), err)
+		}
 	}
 }
 

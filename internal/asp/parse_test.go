@@ -272,6 +272,40 @@ func TestTermKeyInjective(t *testing.T) {
 	}
 }
 
+// TestTermKeyLiterals pins one key per term kind, and an atom key, so
+// the one encoder cannot drift from the keys stored in answer sets and
+// grounder tables.
+func TestTermKeyLiterals(t *testing.T) {
+	one, two := Integer{Value: 1}, Integer{Value: -2}
+	cases := []struct {
+		term Term
+		want string
+	}{
+		{Constant{Name: "alice"}, "calice"},
+		{Constant{Name: "a b", Quoted: true}, "ca b"},
+		{two, "i-2"},
+		{Variable{Name: "X"}, "vX"},
+		{Compound{Functor: "f", Args: []Term{Constant{Name: "a"}, one}}, "ff(ca,i1,)"},
+		{Arith{Op: OpAdd, L: Variable{Name: "X"}, R: one}, "a+vXi1"},
+		{Range{Lo: one, Hi: Integer{Value: 3}}, "ri1..i3"},
+	}
+	for _, c := range cases {
+		if got := TermKey(c.term); got != c.want {
+			t.Errorf("TermKey(%s) = %q, want %q", c.term, got, c.want)
+		}
+		if got := string(appendTermKey([]byte("x"), c.term)); got != "x"+c.want {
+			t.Errorf("appendTermKey(x, %s) = %q, want %q", c.term, got, "x"+c.want)
+		}
+	}
+	a := NewAtom("p", Constant{Name: "a"}, Compound{Functor: "g", Args: []Term{two}})
+	if got, want := a.Key(), "p/ca;fg(i-2,);"; got != want {
+		t.Errorf("Atom.Key = %q, want %q", got, want)
+	}
+	if got := string(appendAtomKey(nil, a)); got != a.Key() {
+		t.Errorf("appendAtomKey = %q, Atom.Key %q", got, a.Key())
+	}
+}
+
 func genTerm(seed, depth int) Term {
 	if depth <= 0 {
 		switch seed % 3 {

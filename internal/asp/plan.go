@@ -930,8 +930,8 @@ func (g *grounder) internGroundAtom(a Atom) (int32, error) {
 	return g.internKeyed(a.Predicate, buf, args), nil
 }
 
-// appendAtomKey renders a ground atom's interning key (identical byte
-// encoding to Atom.Key) into dst.
+// appendAtomKey renders an atom's key, the bytes Atom.Key returns, into
+// dst.
 func appendAtomKey(dst []byte, a Atom) []byte {
 	dst = append(dst, a.Predicate...)
 	dst = append(dst, '/')

@@ -1,9 +1,6 @@
 package asp
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Range is an integer interval term `lo..hi` (clingo-style). A rule
 // containing range terms stands for the family of rules obtained by
@@ -27,13 +24,6 @@ func (r Range) collectVars(vars map[string]struct{}) {
 
 func (r Range) substitute(b Binding) Term {
 	return Range{Lo: r.Lo.substitute(b), Hi: r.Hi.substitute(b)}
-}
-
-func (r Range) key(sb *strings.Builder) {
-	sb.WriteByte('r')
-	r.Lo.key(sb)
-	sb.WriteString("..")
-	r.Hi.key(sb)
 }
 
 // expandRanges rewrites every rule containing range terms into its

@@ -36,7 +36,7 @@ func (as *AnswerSet) Contains(a Atom) bool {
 }
 
 // containsKey reports membership by a precomputed atom key (see
-// appendTermKey / Atom.Key); the byte-slice map probe does not allocate.
+// appendAtomKey); the byte-slice map probe does not allocate.
 func (as *AnswerSet) containsKey(k []byte) bool {
 	_, ok := as.atoms[string(k)]
 	return ok
@@ -100,9 +100,9 @@ type SolveOptions struct {
 	// (0 = unlimited). Guards real-time callers (paper Section III.B).
 	MaxDecisions int64
 
-	// Context, when non-nil, cancels the search: the solver polls it on
-	// every decision and periodically during propagation, returning the
-	// context's error.
+	// Context, when non-nil, cancels the search: the solver checks it
+	// once before solving, then on every decision and periodically
+	// during propagation, returning the context's error.
 	Context context.Context
 }
 
@@ -242,8 +242,15 @@ func solveDecided(g *GroundProgram, opts SolveOptions) (bool, error) {
 var solverPool = sync.Pool{New: func() any { return &cdnlSolver{} }}
 
 // solveGroundScratch is SolveGround on caller-owned solver state, which
-// must not be shared between concurrent solves.
+// must not be shared between concurrent solves. A Context cancelled
+// before the call fails it before clause form and search, as it fails a
+// decided program, even when propagation alone would decide it.
 func solveGroundScratch(g *GroundProgram, opts SolveOptions, s *cdnlSolver) ([]*AnswerSet, error) {
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return nil, err
+		}
+	}
 	t0 := time.Now()
 	sp := obs.StartSpan("asp.solve")
 	s.init(g, g.clauseForm(), opts)

@@ -43,16 +43,11 @@ func (a Atom) Ground() bool {
 	return true
 }
 
-// Key returns a canonical encoding of the atom for hashing/equality.
+// Key returns a canonical encoding of the atom for hashing/equality
+// (appendAtomKey's bytes).
 func (a Atom) Key() string {
-	var sb strings.Builder
-	sb.WriteString(a.Predicate)
-	sb.WriteByte('/')
-	for _, t := range a.Args {
-		t.key(&sb)
-		sb.WriteByte(';')
-	}
-	return sb.String()
+	var buf [64]byte
+	return string(appendAtomKey(buf[:0], a))
 }
 
 // Substitute applies a binding to all argument terms.

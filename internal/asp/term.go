@@ -31,10 +31,6 @@ type Term interface {
 
 	// substitute applies a binding to the term.
 	substitute(b Binding) Term
-
-	// key returns a canonical encoding used for hashing and equality of
-	// ground terms.
-	key(sb *strings.Builder)
 }
 
 // Constant is a symbolic constant, written as a lowercase identifier or a
@@ -159,13 +155,11 @@ func substTerm(t Term, b Binding) Term {
 }
 
 func (c Constant) substitute(Binding) Term { return c }
-func (c Constant) key(sb *strings.Builder) { sb.WriteByte('c'); sb.WriteString(c.Name) }
 
 func (i Integer) String() string                  { return strconv.Itoa(i.Value) }
 func (i Integer) Ground() bool                    { return true }
 func (i Integer) collectVars(map[string]struct{}) {}
 func (i Integer) substitute(Binding) Term         { return i }
-func (i Integer) key(sb *strings.Builder)         { sb.WriteByte('i'); sb.WriteString(strconv.Itoa(i.Value)) }
 
 func (v Variable) String() string                       { return v.Name }
 func (v Variable) Ground() bool                         { return false }
@@ -176,7 +170,6 @@ func (v Variable) substitute(b Binding) Term {
 	}
 	return v
 }
-func (v Variable) key(sb *strings.Builder) { sb.WriteByte('v'); sb.WriteString(v.Name) }
 
 func (c Compound) String() string {
 	parts := make([]string, len(c.Args))
@@ -209,17 +202,6 @@ func (c Compound) substitute(b Binding) Term {
 	return Compound{Functor: c.Functor, Args: args}
 }
 
-func (c Compound) key(sb *strings.Builder) {
-	sb.WriteByte('f')
-	sb.WriteString(c.Functor)
-	sb.WriteByte('(')
-	for _, a := range c.Args {
-		a.key(sb)
-		sb.WriteByte(',')
-	}
-	sb.WriteByte(')')
-}
-
 func (a Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
 }
@@ -233,13 +215,6 @@ func (a Arith) collectVars(vars map[string]struct{}) {
 
 func (a Arith) substitute(b Binding) Term {
 	return Arith{Op: a.Op, L: a.L.substitute(b), R: a.R.substitute(b)}
-}
-
-func (a Arith) key(sb *strings.Builder) {
-	sb.WriteByte('a')
-	sb.WriteString(a.Op.String())
-	a.L.key(sb)
-	a.R.key(sb)
 }
 
 // Binding maps variable names to terms.
@@ -301,14 +276,14 @@ func EvalArith(t Term) (Term, error) {
 
 // TermKey returns a canonical string key for a term, usable as a map key.
 func TermKey(t Term) string {
-	var sb strings.Builder
-	t.key(&sb)
-	return sb.String()
+	var buf [64]byte
+	return string(appendTermKey(buf[:0], t))
 }
 
-// appendTermKey appends the canonical key of a term (the same encoding
-// as Term.key / TermKey) to dst, letting hot paths build map probes in a
-// reusable buffer instead of allocating a string per lookup.
+// appendTermKey appends the canonical key of a term to dst. It is the
+// one term encoder: TermKey and Atom.Key render through it, and hot
+// paths build map probes with it in a reusable buffer instead of
+// allocating a string per lookup.
 func appendTermKey(dst []byte, t Term) []byte {
 	switch tt := t.(type) {
 	case Constant:
@@ -339,8 +314,6 @@ func appendTermKey(dst []byte, t Term) []byte {
 		dst = appendTermKey(dst, tt.Lo)
 		dst = append(dst, ".."...)
 		dst = appendTermKey(dst, tt.Hi)
-	default:
-		dst = append(dst, TermKey(t)...)
 	}
 	return dst
 }

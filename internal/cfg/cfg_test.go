@@ -245,17 +245,21 @@ s -> "x" | "x" s
 	}
 }
 
+// TestGenerateMaxTrees: a caller caps the trees by stopping its yield;
+// the cap keeps the first trees of the deterministic order, smallest
+// first, however large the node bound.
 func TestGenerateMaxTrees(t *testing.T) {
 	g := mustGrammar(t, `
 s -> "x" | "x" s
 `)
-	count := 0
-	g.Generate(GenerateOptions{MaxNodes: 100, MaxTrees: 5}, func(*Tree) bool {
-		count++
-		return true
+	var got []string
+	g.Generate(GenerateOptions{MaxNodes: 100}, func(tr *Tree) bool {
+		got = append(got, tr.Text())
+		return len(got) < 5
 	})
-	if count != 5 {
-		t.Errorf("generated %d trees, want 5", count)
+	want := []string{"x", "x x", "x x x", "x x x x", "x x x x x"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("capped trees = %q, want %q", got, want)
 	}
 }
 
@@ -284,9 +288,9 @@ func TestGenerateParseRoundTrip(t *testing.T) {
 	for _, src := range grammars {
 		g := mustGrammar(t, src)
 		var trees []*Tree
-		g.Generate(GenerateOptions{MaxNodes: 9, MaxTrees: 50}, func(tr *Tree) bool {
+		g.Generate(GenerateOptions{MaxNodes: 9}, func(tr *Tree) bool {
 			trees = append(trees, tr)
-			return true
+			return len(trees) < 50
 		})
 		if len(trees) == 0 {
 			t.Fatalf("no trees generated for %q", src)

@@ -5,16 +5,12 @@ type GenerateOptions struct {
 	// MaxNodes bounds the size (node count) of generated derivation
 	// trees. Must be positive.
 	MaxNodes int
-
-	// MaxTrees caps the total number of trees generated (0 = unlimited
-	// within MaxNodes).
-	MaxTrees int
 }
 
 // Generate enumerates derivation trees of the grammar's start symbol with
 // at most opts.MaxNodes nodes, invoking yield for each. Enumeration is
 // deterministic (productions in ID order, smaller subtrees first) and
-// stops early when yield returns false or MaxTrees is reached.
+// stops early when yield returns false.
 //
 // The ASG layer filters this enumeration through ASP annotations to
 // produce the policies a generative policy model admits in a context.
@@ -22,14 +18,9 @@ func (g *Grammar) Generate(opts GenerateOptions, yield func(*Tree) bool) {
 	if opts.MaxNodes <= 0 {
 		return
 	}
-	gen := &generator{g: g, opts: opts, yield: yield}
+	gen := &generator{g: g}
 	gen.symbol(NT(g.Start), opts.MaxNodes, func(t *Tree) bool {
-		gen.count++
 		if !yield(t) {
-			gen.stopped = true
-			return false
-		}
-		if opts.MaxTrees > 0 && gen.count >= opts.MaxTrees {
 			gen.stopped = true
 			return false
 		}
@@ -55,9 +46,6 @@ func (g *Grammar) GenerateStrings(opts GenerateOptions) []string {
 
 type generator struct {
 	g       *Grammar
-	opts    GenerateOptions
-	yield   func(*Tree) bool
-	count   int
 	stopped bool
 }
 

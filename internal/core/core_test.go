@@ -7,7 +7,6 @@ import (
 	"agenp/internal/asg"
 	"agenp/internal/asglearn"
 	"agenp/internal/asp"
-	"agenp/internal/ilasp"
 )
 
 const drivingGrammar = `
@@ -124,7 +123,7 @@ func TestEvolveLearnsConstraintAndRegenerates(t *testing.T) {
 		{ID: "p2", Tokens: []string{"accept", "park"}, Context: ctxProg(t, "weather(rain)."), Positive: true},
 		{ID: "n1", Tokens: []string{"accept", "overtake"}, Context: ctxProg(t, "weather(rain)."), Positive: false},
 	}
-	evo, err := m.Evolve(space, examples, EvolveOptions{})
+	evo, err := m.Evolve(space, examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestEvolveNoSolution(t *testing.T) {
 		{ID: "p", Tokens: []string{"accept", "overtake"}, Positive: true},
 		{ID: "n", Tokens: []string{"accept", "overtake"}, Positive: false},
 	}
-	if _, err := m.Evolve(nil, examples, EvolveOptions{Learn: ilasp.LearnOptions{}}); err == nil {
+	if _, err := m.Evolve(nil, examples); err == nil {
 		t.Error("contradictory examples should fail")
 	}
 }

@@ -54,7 +54,7 @@ func RunE1(opts Options) (*Table, error) {
 
 	task := &asglearn.Task{Initial: initial, Space: space, Examples: examples}
 	start := time.Now()
-	res, err := task.Learn(ilasp.LearnOptions{MaxRules: 2, Parallelism: opts.Parallelism})
+	res, err := task.Learn(ilasp.LearnOptions{MaxRules: 2})
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func RunE3(opts Options) (*Table, error) {
 			Examples: workload.LearningExamples(ds.Examples[:n], 0),
 		}
 		start := time.Now()
-		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 4, Parallelism: opts.Parallelism})
+		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 4})
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func RunE4(opts Options) (*Table, error) {
 			Bias:       b,
 			Examples:   workload.LearningExamples(train, 0),
 		}
-		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 3, Parallelism: opts.Parallelism})
+		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 3})
 		if err != nil {
 			return err
 		}
@@ -242,7 +242,7 @@ func RunE5(opts Options) (*Table, error) {
 			Space:    space,
 			Examples: workload.LearningExamples(train, 0),
 		}
-		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 2, Parallelism: opts.Parallelism})
+		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 2})
 		if err != nil {
 			return err
 		}
@@ -316,7 +316,7 @@ func RunE6(opts Options) (*Table, error) {
 			Bias:     workload.AccessBias(schema, nil),
 			Examples: workload.LearningExamples(v.examples, v.weight),
 		}
-		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 4, Noise: v.noiseOpt, Parallelism: opts.Parallelism})
+		res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 4, Noise: v.noiseOpt})
 		if err != nil {
 			t.AddRow(v.name, len(v.examples), "no consistent hypothesis", "-")
 			continue

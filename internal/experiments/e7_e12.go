@@ -44,7 +44,7 @@ func RunE7(opts Options) (*Table, error) {
 	for _, n := range sizes {
 		train := scenarios[:n]
 		symAcc := -1.0
-		learned, err := cav.Learn(train, ilasp.LearnOptions{Parallelism: opts.Parallelism})
+		learned, err := cav.Learn(train, ilasp.LearnOptions{})
 		if err == nil {
 			symAcc, err = learned.Accuracy(test)
 			if err != nil {
@@ -78,7 +78,7 @@ func RunE8(opts Options) (*Table, error) {
 	for _, n := range sizes {
 		scenarios := cav.Generate(opts.seed(), n)
 		start := time.Now()
-		learned, err := cav.Learn(scenarios, ilasp.LearnOptions{Parallelism: opts.Parallelism})
+		learned, err := cav.Learn(scenarios, ilasp.LearnOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func RunE8(opts Options) (*Table, error) {
 		Examples:   cav.LearningExamples(small, 0),
 	}
 	start := time.Now()
-	fast, err := exTask.LearnIndependent(ilasp.LearnOptions{MaxRules: 3, Parallelism: opts.Parallelism})
+	fast, err := exTask.LearnIndependent(ilasp.LearnOptions{MaxRules: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func RunE8(opts Options) (*Table, error) {
 			Examples:   cav.LearningExamples(small, 0),
 		}
 		start = time.Now()
-		exact, err := exTask2.Learn(ilasp.LearnOptions{MaxRules: 2, MaxCost: fast.Cost, MaxChecks: 2_000_000, Parallelism: opts.Parallelism})
+		exact, err := exTask2.Learn(ilasp.LearnOptions{MaxRules: 2, MaxCost: fast.Cost, MaxChecks: 2_000_000})
 		if err != nil {
 			t.AddRow("exhaustive (8 examples)", 8, "-", "budget exhausted", time.Since(start))
 		} else {
@@ -263,7 +263,7 @@ func RunE11(opts Options) (*Table, error) {
 		trainN, testN = 30, 80
 	}
 	offers := datashare.Generate(opts.seed(), trainN+testN)
-	learned, err := datashare.Learn(offers[:trainN], ilasp.LearnOptions{Parallelism: opts.Parallelism})
+	learned, err := datashare.Learn(offers[:trainN], ilasp.LearnOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func RunE11(opts Options) (*Table, error) {
 	}
 	history := federated.Generate(opts.seed()+1, histN)
 	future := federated.Generate(opts.seed()+2, futN)
-	gate, err := federated.Learn(history, ilasp.LearnOptions{Parallelism: opts.Parallelism})
+	gate, err := federated.Learn(history, ilasp.LearnOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +392,7 @@ func RunE12(opts Options) (*Table, error) {
 	testInst := apps.Instances(test)
 	for _, n := range sizes {
 		train := all[:n]
-		learned, err := resupply.Learn(train, ilasp.LearnOptions{Parallelism: opts.Parallelism})
+		learned, err := resupply.Learn(train, ilasp.LearnOptions{})
 		symAcc := -1.0
 		nRules := 0
 		if err == nil {

@@ -89,9 +89,6 @@ type Options struct {
 	Quick bool
 	// Seed drives every generator.
 	Seed uint64
-	// Parallelism is forwarded to every learner invocation
-	// (ilasp.LearnOptions.Parallelism: 0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
 }
 
 func (o Options) seed() uint64 {

@@ -88,9 +88,8 @@ func decodeLearnTask(t *testing.T, data []byte) (*Task, LearnOptions) {
 	}
 	flags := next()
 	opts := LearnOptions{
-		Noise:       flags&1 != 0,
-		MaxRules:    1 + (flags>>1)%3,
-		Parallelism: 1 + (flags>>3)&1,
+		Noise:    flags&1 != 0,
+		MaxRules: 1 + (flags>>1)%3,
 	}
 	task := &Task{Background: prog(t, defBackgrounds[(flags>>4)%len(defBackgrounds)])}
 	templates := defTemplates

@@ -2,6 +2,7 @@ package ilasp
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -39,7 +40,7 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := vectorize(&taskOracle{task: t, space: space}, space, opts.Parallelism, true)
+	v, err := vectorize(&taskOracle{task: t, space: space}, space, runtime.GOMAXPROCS(0), true)
 	if err != nil {
 		return nil, err
 	}

@@ -5,14 +5,7 @@ import "agenp/internal/obs"
 // Telemetry for the hypothesis search. Per-search totals (hypotheses
 // enumerated, subtrees pruned, checks issued) are accumulated on the
 // checker and flushed once when the search finishes; per-check timings
-// go straight to histograms (atomic adds, safe from worker goroutines).
-//
-// Worker-pool utilisation under LearnOptions.Parallelism is derivable
-// from the counters: ilasp.worker.busy_ns is the summed wall time all
-// workers spent inside coverage checks, ilasp.fetch.wall_ns the summed
-// wall time of the chunked fetches that dispatched them — their ratio
-// times the pool width is the fraction of the pool kept busy; the gap
-// is queue wait (stragglers holding a chunk open).
+// of re-solve checks go straight to a histogram.
 var (
 	statSearches  = obs.C("ilasp.search.count")
 	statSearchDur = obs.H("ilasp.search.duration")
@@ -20,10 +13,7 @@ var (
 	statPruned    = obs.C("ilasp.search.pruned")
 	statChecks    = obs.C("ilasp.search.checks")
 
-	statCheckDur    = obs.H("ilasp.check.duration")
-	statWorkerBusy  = obs.C("ilasp.worker.busy_ns")
-	statFetchChunks = obs.C("ilasp.fetch.chunks")
-	statFetchWall   = obs.C("ilasp.fetch.wall_ns")
+	statCheckDur = obs.H("ilasp.check.duration")
 
 	statIndependentLearns = obs.C("ilasp.independent.learns")
 	statIndependentChecks = obs.C("ilasp.independent.checks")

@@ -2,6 +2,8 @@ package ilasp_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,21 +37,6 @@ func datashareTask(t *testing.T) *ilasp.Task {
 	}
 }
 
-func resultsEqual(a, b *ilasp.Result) bool {
-	if a.Cost != b.Cost || a.Covered != b.Covered || a.Total != b.Total || a.Checks != b.Checks {
-		return false
-	}
-	if len(a.Hypothesis) != len(b.Hypothesis) {
-		return false
-	}
-	for i := range a.Hypothesis {
-		if a.Hypothesis[i].String() != b.Hypothesis[i].String() {
-			return false
-		}
-	}
-	return true
-}
-
 // xacmlTask builds an access-control learning task in the shape of the
 // benchmark's learning jobs: an exact job over 80 clean labels, or a
 // noise-tolerant job over 40 labels with 15% injected noise.
@@ -66,115 +53,103 @@ func xacmlTask(noisy bool) *ilasp.Task {
 	return &ilasp.Task{Bias: workload.AccessBias(schema, nil), Examples: workload.LearningExamples(ds.Examples, weight)}
 }
 
-// TestParallelLearnMatchesSerial runs each learner serially and with a
-// wider worker pool on the same task: the hypothesis, cost, coverage,
-// and check count must be byte-identical. The exhaustive learner runs on
-// a datashare task; LearnIndependent, whose signature builder shares the
-// fan-out, on exact and noisy access-control tasks. Run under -race this
-// also exercises the oracle's and the builder's concurrency safety.
+// TestParallelLearnMatchesSerial checks the learners' one fan-out, the
+// candidate-sharded signature build: at width 4 it must build the same
+// signatures as at width 1 for the task each learner vectorizes — Learn
+// on a datashare task, LearnIndependent's strict build on exact and
+// noisy access-control tasks — and return the same strict-mode error
+// when candidates fail on different examples. Run under -race this also
+// exercises the workers' disjoint writes.
 func TestParallelLearnMatchesSerial(t *testing.T) {
 	cases := []struct {
-		name  string
-		task  func(*testing.T) *ilasp.Task
-		learn func(*ilasp.Task, ilasp.LearnOptions) (*ilasp.Result, error)
-		opts  ilasp.LearnOptions
-		par   int
+		name    string
+		task    func(*testing.T) *ilasp.Task
+		strict  bool
+		wantErr string // the error at both widths, "" for none
 	}{
-		{"datashare/Learn", datashareTask, (*ilasp.Task).Learn, ilasp.LearnOptions{MaxRules: 2}, 8},
-		{"xacml-exact/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(false) }, (*ilasp.Task).LearnIndependent, ilasp.LearnOptions{MaxRules: 4}, 4},
-		{"xacml-noisy/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(true) }, (*ilasp.Task).LearnIndependent, ilasp.LearnOptions{MaxRules: 4, Noise: true}, 4},
+		{"datashare/Learn", datashareTask, false, ""},
+		{"xacml-exact/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(false) }, true, ""},
+		{"xacml-noisy/LearnIndependent", func(*testing.T) *ilasp.Task { return xacmlTask(true) }, true, ""},
+		{"strict-error/LearnIndependent", strictErrorTask, true,
+			`ilasp: evaluating candidate "w((X + 1)) :- m(X).": arithmetic over non-integer terms b + 1`},
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := c.opts
-			opts.Parallelism = 1
-			serial, err := c.learn(c.task(t), opts)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
+			serial, serialErr := ilasp.Vectorize(c.task(t), 1, c.strict)
+			parallel, parallelErr := ilasp.Vectorize(c.task(t), 4, c.strict)
+			if got := errText(serialErr); got != c.wantErr {
+				t.Fatalf("width 1: error %q, want %q", got, c.wantErr)
 			}
-			opts.Parallelism = c.par
-			parallel, err := c.learn(c.task(t), opts)
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
+			if got := errText(parallelErr); got != c.wantErr {
+				t.Fatalf("width 4: error %q, want %q", got, c.wantErr)
 			}
-			if !resultsEqual(serial, parallel) {
-				t.Fatalf("parallel result differs from serial:\nserial:   %v (checks %d)\nparallel: %v (checks %d)",
-					serial, serial.Checks, parallel, parallel.Checks)
-			}
-			if !opts.Noise && serial.Covered != serial.Total {
-				t.Fatalf("covered %d/%d, want full coverage", serial.Covered, serial.Total)
-			}
-			if len(serial.Hypothesis) == 0 {
-				t.Fatal("expected a non-empty hypothesis")
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatal("width 4 built different signatures from width 1")
 			}
 		})
 	}
 }
 
-// TestParallelNoisyLearnMatchesSerial repeats the determinism check in
-// noise-tolerant mode, whose branch-and-bound cutoffs depend on the
-// replay order of speculative checks.
-func TestParallelNoisyLearnMatchesSerial(t *testing.T) {
-	mk := func() *ilasp.Task {
-		task := datashareTask(t)
-		for i := range task.Examples {
-			task.Examples[i].Weight = 1 + i%3
+// strictErrorTask fails LearnIndependent's strict signature build three
+// ways: its last example is negative, candidate 1 divides by zero on
+// example e2 and candidate 3 adds to a constant on e1. A build meets the
+// earliest example's error first, whichever worker evaluates it.
+func strictErrorTask(t *testing.T) *ilasp.Task {
+	t.Helper()
+	space, err := asp.Parse(`
+		q(X) :- p(X).
+		s(10 / X) :- p(X).
+		r(X) :- p(X).
+		w(X + 1) :- m(X).
+		u(X) :- m(X).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &ilasp.Task{}
+	for _, r := range space.Rules {
+		task.Space = append(task.Space, ilasp.Candidate{Rule: r, Cost: 1})
+	}
+	for i, ctx := range []string{"p(1). m(1).", "p(2). m(b).", "p(0). m(2).", "p(3)."} {
+		c, err := asp.Parse(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return task
+		q := asp.NewAtom("q", asp.Integer{Value: i})
+		task.Examples = append(task.Examples, ilasp.PosExample(fmt.Sprintf("e%d", i), []asp.Atom{q}, nil, c))
 	}
-	opts := ilasp.LearnOptions{MaxRules: 2, Noise: true}
-
-	opts.Parallelism = 1
-	serial, err := mk().Learn(opts)
-	if err != nil {
-		t.Fatalf("serial Learn: %v", err)
-	}
-	opts.Parallelism = 8
-	parallel, err := mk().Learn(opts)
-	if err != nil {
-		t.Fatalf("parallel Learn: %v", err)
-	}
-	if !resultsEqual(serial, parallel) {
-		t.Fatalf("parallel result differs from serial:\nserial:   %v (checks %d)\nparallel: %v (checks %d)",
-			serial, serial.Checks, parallel, parallel.Checks)
-	}
+	task.Examples[3].Positive = false
+	return task
 }
 
-// TestParallelLearnPropagatesError checks first-error cancellation: an
-// example whose context fails to ground must abort a parallel search
-// with the same wrapped error a serial run reports.
-func TestParallelLearnPropagatesError(t *testing.T) {
+// TestLearnPropagatesExampleError: an example whose context fails to
+// ground aborts the search with the error of the check that reached it,
+// naming the example.
+func TestLearnPropagatesExampleError(t *testing.T) {
 	unsafe := asp.NewRule(asp.NewAtom("p", asp.Variable{Name: "X"})) // p(X). — unsafe
 	task := datashareTask(t)
 	task.Examples[4].Context.Add(unsafe)
 
-	opts := ilasp.LearnOptions{MaxRules: 2}
-	opts.Parallelism = 1
-	_, serialErr := task.Learn(opts)
-	opts.Parallelism = 8
-	_, parallelErr := task.Learn(opts)
-
-	for _, err := range []error{serialErr, parallelErr} {
-		if err == nil {
-			t.Fatal("expected an error from the unsafe example context")
-		}
-		if !strings.Contains(err.Error(), "checking example o5") {
-			t.Fatalf("error %q does not name the failing example", err)
-		}
+	_, err := task.Learn(ilasp.LearnOptions{MaxRules: 2})
+	if err == nil {
+		t.Fatal("expected an error from the unsafe example context")
 	}
-	if serialErr.Error() != parallelErr.Error() {
-		t.Fatalf("serial and parallel errors differ:\nserial:   %v\nparallel: %v", serialErr, parallelErr)
+	if !strings.Contains(err.Error(), "checking example o5") {
+		t.Fatalf("error %q does not name the failing example", err)
 	}
 }
 
-// TestParallelCheckBudget checks that MaxChecks accounting is unchanged
-// by parallelism: the budget error fires on the same logical check.
-func TestParallelCheckBudget(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		opts := ilasp.LearnOptions{MaxRules: 2, MaxChecks: 5, Parallelism: par}
-		_, err := datashareTask(t).Learn(opts)
-		if !errors.Is(err, ilasp.ErrCheckBudget) {
-			t.Fatalf("parallelism %d: err = %v, want ErrCheckBudget", par, err)
-		}
+// TestLearnCheckBudgetOnSignatures: MaxChecks stops a signature-served
+// search with ErrCheckBudget, as it stops a re-solving one.
+func TestLearnCheckBudgetOnSignatures(t *testing.T) {
+	_, err := datashareTask(t).Learn(ilasp.LearnOptions{MaxRules: 2, MaxChecks: 5})
+	if !errors.Is(err, ilasp.ErrCheckBudget) {
+		t.Fatalf("err = %v, want ErrCheckBudget", err)
 	}
 }

@@ -1,11 +1,9 @@
 package ilasp
 
 import (
-	"context"
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"agenp/internal/obs"
@@ -19,10 +17,9 @@ import (
 // both searches are the same optimal subset search, differing only in
 // the coverage oracle.
 //
-// Covers must be safe for concurrent calls with distinct example indices
-// (the search fans coverage checks out across a worker pool); it is never
-// called concurrently for the same index. A search asks each (hypothesis,
-// example) verdict at most once, so oracles need no verdict memo.
+// The search calls Covers on the caller's goroutine, in example order,
+// and asks each (hypothesis, example) verdict at most once, so oracles
+// need no verdict memo.
 type Oracle interface {
 	// Candidates returns the hypothesis space.
 	Candidates() []Candidate
@@ -38,14 +35,9 @@ type Solution struct {
 	// Covered counts covered examples.
 	Covered int
 	// Checks counts coverage queries the search issued. The count is of
-	// logical queries (a signature-served search answers them without
-	// the oracle), so it is identical for serial and parallel runs.
-	//
-	// Deprecated: Checks is kept for compatibility; it is backed by the
-	// obs counter "ilasp.search.checks" (the checker counts once and
-	// flushes the same total to both), so new code should read the
-	// telemetry registry instead. The value remains byte-identical
-	// between serial and parallel runs.
+	// logical queries: a signature-served search answers them without
+	// the oracle. The checker counts once and flushes the same total to
+	// the obs counter "ilasp.search.checks".
 	Checks int
 }
 
@@ -58,12 +50,6 @@ type Solution struct {
 // soft examples; zero-weight (hard) examples must be covered;
 // branch-and-bound prunes subtrees whose cost already exceeds the best
 // objective.
-//
-// Coverage checks run on a bounded worker pool of opts.Parallelism
-// workers (GOMAXPROCS when 0). Parallelism never changes the result:
-// checks are fetched speculatively in chunks and replayed in example
-// order, so the chosen hypothesis, coverage, check count, and MaxChecks
-// budgeting are byte-identical to a serial run.
 func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("ilasp.search")
@@ -93,7 +79,7 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 		}
 	}
 
-	c := newChecker(o, len(weights), opts)
+	c := &checker{o: o, n: len(weights), maxChecks: opts.MaxChecks}
 	defer c.close()
 
 	// Signature fast path: when the oracle decomposes into per-candidate
@@ -105,7 +91,7 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	// that declines is counted, and the search re-solves per hypothesis.
 	var skip []bool
 	if d, ok := o.(Decomposer); ok {
-		if vec, err := vectorize(d, cands, opts.Parallelism, false); err == nil && vec.n == len(weights) {
+		if vec, err := vectorize(d, cands, runtime.GOMAXPROCS(0), false); err == nil && vec.n == len(weights) {
 			c.vec = vec
 			c.uLevels = make([]unionSig, maxRules+1)
 			skip = collapseClasses(cands, order, vec)
@@ -137,16 +123,11 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	return sol, nil
 }
 
-// checker issues coverage checks for the search, owning the check count,
-// the MaxChecks budget, and the worker pool. Checks for one hypothesis
-// are fetched in chunks of the parallelism width and then replayed in
-// example order; speculative results past an abort point (error,
-// uncovered hard example, budget) are discarded uncounted, which keeps
-// every observable — outcome, count, budget — equal to a serial run's.
+// checker issues coverage checks for the search, owning the check count
+// and the MaxChecks budget.
 type checker struct {
 	o         Oracle
 	n         int // examples
-	par       int // worker-pool width == chunk size
 	maxChecks int
 	checks    int
 
@@ -156,14 +137,6 @@ type checker struct {
 	hyps   int64
 	pruned int64
 
-	// ctx cancels outstanding speculative work on first error.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Per-chunk result buffers, reused across fetches.
-	oks  []bool
-	errs []error
-
 	// vec, when non-nil, serves checks from coverage signatures instead
 	// of the oracle. uLevels[d] is the reusable union scratch for
 	// hypotheses of size d; indexing by size keeps a parent dfs node's
@@ -172,78 +145,18 @@ type checker struct {
 	uLevels []unionSig
 }
 
-func newChecker(o Oracle, n int, opts LearnOptions) *checker {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n && n > 0 {
-		par = n
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &checker{
-		o: o, n: n, par: par, maxChecks: opts.MaxChecks,
-		ctx: ctx, cancel: cancel,
-		oks: make([]bool, n), errs: make([]error, n),
-	}
-}
-
 func (c *checker) close() {
-	c.cancel()
 	statChecks.Add(int64(c.checks))
 	statHyps.Add(c.hyps)
 	statPruned.Add(c.pruned)
 }
 
-// fetch obtains verdicts for examples [lo,hi) of the hypothesis,
-// concurrently when the pool is wider than one. It returns only after
-// every launched check has finished, so the caller's replay never races
-// with a worker.
-func (c *checker) fetch(chosen []int, lo, hi int) {
-	t0 := time.Now()
-	if hi-lo <= 1 {
-		for i := lo; i < hi; i++ {
-			c.oks[i], c.errs[i] = c.timedCovers(chosen, i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := c.ctx.Err(); err != nil {
-					c.oks[i], c.errs[i] = false, err
-					return
-				}
-				c.oks[i], c.errs[i] = c.timedCovers(chosen, i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	statFetchChunks.Inc()
-	statFetchWall.Add(int64(time.Since(t0)))
-}
-
-// timedCovers wraps one oracle query with per-check timing; the busy
-// total across workers against the chunk wall time gives pool
-// utilisation and queue wait.
-func (c *checker) timedCovers(chosen []int, i int) (bool, error) {
-	t0 := time.Now()
-	ok, err := c.o.Covers(chosen, i)
-	d := time.Since(t0)
-	statCheckDur.Observe(d)
-	statWorkerBusy.Add(int64(d))
-	return ok, err
-}
-
 // replay evaluates the hypothesis on every example in order. Verdicts
-// come from the signature union on the signature path, else from
-// chunked oracle fetches; either way they are consumed here, in example
-// order, so the check count, MaxChecks budget, first error, hard-example
-// abort, and penalty cutoff are one code path and equal to a serial
-// run's. weights nil makes every example hard. ok reports that the
-// replay ran to the end: false when a hard example is uncovered or
-// cost+penalty reached bound.
+// come from the signature union on the signature path, else from the
+// oracle; either way the check count, MaxChecks budget, first error,
+// hard-example abort, and penalty cutoff are one code path. weights nil
+// makes every example hard. ok reports that the replay ran to the end:
+// false when a hard example is uncovered or cost+penalty reached bound.
 func (c *checker) replay(chosen, weights []int, cost, bound int) (covered, penalty int, ok bool, err error) {
 	c.hyps++
 	var u *unionSig
@@ -253,37 +166,32 @@ func (c *checker) replay(chosen, weights []int, cost, bound int) (covered, penal
 		u = &c.uLevels[len(chosen)]
 		c.vec.unionInto(u, chosen)
 	}
-	for lo := 0; lo < c.n; lo += c.par {
-		hi := min(lo+c.par, c.n)
-		if u == nil {
-			c.fetch(chosen, lo, hi)
+	for i := 0; i < c.n; i++ {
+		c.checks++
+		if c.maxChecks > 0 && c.checks > c.maxChecks {
+			return covered, penalty, false, ErrCheckBudget
 		}
-		for i := lo; i < hi; i++ {
-			c.checks++
-			if c.maxChecks > 0 && c.checks > c.maxChecks {
-				c.cancel()
-				return covered, penalty, false, ErrCheckBudget
-			}
-			var yes bool
-			if u != nil {
-				yes = c.vec.covered(u, i)
-			} else if err := c.errs[i]; err != nil {
-				c.cancel()
+		var yes bool
+		if u != nil {
+			yes = c.vec.covered(u, i)
+		} else {
+			t0 := time.Now()
+			yes, err = c.o.Covers(chosen, i)
+			statCheckDur.ObserveSince(t0)
+			if err != nil {
 				return covered, penalty, false, err
-			} else {
-				yes = c.oks[i]
 			}
-			if yes {
-				covered++
-				continue
-			}
-			if weights == nil || weights[i] <= 0 {
-				return covered, penalty, false, nil // hard example uncovered
-			}
-			penalty += weights[i]
-			if cost+penalty >= bound {
-				return covered, penalty, false, nil
-			}
+		}
+		if yes {
+			covered++
+			continue
+		}
+		if weights == nil || weights[i] <= 0 {
+			return covered, penalty, false, nil // hard example uncovered
+		}
+		penalty += weights[i]
+		if cost+penalty >= bound {
+			return covered, penalty, false, nil
 		}
 	}
 	return covered, penalty, true, nil

@@ -3,7 +3,6 @@ package ilasp
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"agenp/internal/asp"
@@ -204,10 +203,12 @@ type Decomposer interface {
 // the re-solve path, where Task.Covers meets any such error lazily, at
 // the first check that reaches it.
 //
-// Evaluation fans out once, on par workers (GOMAXPROCS when 0), sharded
-// by candidate so each worker owns disjoint signature rows and its own
-// Evaluator scratch; the signatures do not depend on par.
-func vectorize(d Decomposer, space []Candidate, par int, strict bool) (*coverVectors, error) {
+// Evaluation fans out once, on up to width workers (the learners pass
+// GOMAXPROCS), sharded by candidate so each worker owns disjoint
+// signature rows and its own Evaluator scratch; the signatures and the
+// error do not depend on width. This is the only fan-out of either
+// learner.
+func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverVectors, error) {
 	if strict {
 		for _, c := range space {
 			if c.Rule.Head == nil {
@@ -297,11 +298,7 @@ func vectorize(d Decomposer, space []Candidate, par int, strict bool) (*coverVec
 		v.viol[ri] = newSig(v.n)
 	}
 
-	workers := par
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, len(space)), 1)
+	workers := max(min(width, len(space)), 1)
 	// fails[w] is worker w's earliest failure in (example, candidate)
 	// order: after a failure a worker only evaluates earlier examples, so
 	// the minimum over workers is the error a serial build meets first.

@@ -168,11 +168,6 @@ type LearnOptions struct {
 	// guards the paper's real-time requirement. LearnIndependent ignores
 	// it: its searches issue no coverage checks.
 	MaxChecks int
-	// Parallelism bounds the coverage-check worker pool and the
-	// signature builder's workers (0 = GOMAXPROCS, 1 = serial). Results
-	// are independent of the setting: parallel runs return the same
-	// hypothesis, cost, and check count as serial ones.
-	Parallelism int
 }
 
 // ErrNoSolution is returned when no hypothesis within the bounds covers
@@ -215,9 +210,9 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 
 // taskOracle adapts a Task to the generic search engine. Covers is
 // Task.Covers on the chosen candidates' rules: it grounds and solves
-// background ∪ H ∪ context afresh, so it is safe for the search's
-// concurrent calls. There is no verdict memo: a search checks each
-// hypothesis at most once, and every Learn builds a fresh oracle.
+// background ∪ H ∪ context afresh. There is no verdict memo: a search
+// checks each hypothesis at most once, and every Learn builds a fresh
+// oracle.
 //
 // It is also the task's Decomposer: when the task is independent (see
 // vectorize), the search reads per-candidate coverage signatures and
