@@ -304,6 +304,9 @@ func TestTermKeyLiterals(t *testing.T) {
 	if got := string(appendAtomKey(nil, a)); got != a.Key() {
 		t.Errorf("appendAtomKey = %q, Atom.Key %q", got, a.Key())
 	}
+	if got := string(a.AppendKey([]byte("x"))); got != "x"+a.Key() {
+		t.Errorf("Atom.AppendKey(x) = %q, want %q", got, "x"+a.Key())
+	}
 }
 
 func genTerm(seed, depth int) Term {

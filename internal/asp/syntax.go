@@ -50,6 +50,10 @@ func (a Atom) Key() string {
 	return string(appendAtomKey(buf[:0], a))
 }
 
+// AppendKey appends the atom's key, the bytes Key returns, to dst: a map
+// probe through string(dst) then costs no allocation.
+func (a Atom) AppendKey(dst []byte) []byte { return appendAtomKey(dst, a) }
+
 // Substitute applies a binding to all argument terms.
 func (a Atom) Substitute(b Binding) Atom {
 	if len(b) == 0 || len(a.Args) == 0 {

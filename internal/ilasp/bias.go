@@ -116,9 +116,6 @@ type Bias struct {
 	AllowNegation bool
 	// RequireBody excludes bodyless rules (bare facts) from the space.
 	RequireBody bool
-	// RequireHeadVarInBody is implied by ASP safety and always enforced;
-	// the field documents the invariant.
-	RequireHeadVarInBody bool
 }
 
 // Candidate is one rule of the hypothesis space.
@@ -146,7 +143,9 @@ type bodyLit struct {
 // Space enumerates the hypothesis space defined by the bias: all
 // distinct, safe rules with at most MaxBody body literals and MaxVars
 // variables, with canonical variable naming. The result is sorted by
-// (cost, text) for deterministic search order.
+// (cost, text) for deterministic search order. Every call enumerates
+// afresh (ilasp.space.built counts them); a Task memoizes the space by
+// bias content instead.
 func (b Bias) Space() ([]Candidate, error) {
 	maxVars := b.MaxVars
 	if maxVars <= 0 {
@@ -299,6 +298,7 @@ func (b Bias) Space() ([]Candidate, error) {
 	for i, p := range perm {
 		sorted[i] = out[p]
 	}
+	statSpaceBuilt.Inc()
 	return sorted, nil
 }
 

@@ -225,7 +225,7 @@ func (tab *defTable) check(task *Task, opts LearnOptions, res *Result, err error
 // oracle's Decomposer methods, so coverage comes from Task.Covers,
 // never from signatures.
 func learnResolve(task *Task, opts LearnOptions) (*Result, error) {
-	o := struct{ Oracle }{&taskOracle{task: task, space: task.Space}}
+	o := struct{ Oracle }{&taskOracle{task: task, ps: prepare(task.Space, true)}}
 	sol, err := Search(o, ExampleWeights(task.Examples), opts)
 	if err != nil {
 		return nil, err

@@ -5,11 +5,24 @@ package ilasp
 // does, for the external tests. The signatures come back as an opaque
 // value for reflect.DeepEqual.
 func Vectorize(t *Task, width int, strict bool) (any, error) {
-	space, err := t.space()
+	return vectorizeTask(t, width, strict, true)
+}
+
+// VectorizeEveryPair is Vectorize over the space prepared without guard
+// atoms, so the build evaluates every (candidate, example) pair.
+func VectorizeEveryPair(t *Task, width int, strict bool) (any, error) {
+	return vectorizeTask(t, width, strict, false)
+}
+
+func vectorizeTask(t *Task, width int, strict, guarded bool) (any, error) {
+	ps, err := t.space()
 	if err != nil {
 		return nil, err
 	}
-	v, err := vectorize(&taskOracle{task: t, space: space}, space, width, strict)
+	if !guarded {
+		ps = prepare(ps.cands, false)
+	}
+	v, err := vectorize(&taskOracle{task: t, ps: ps}, ps, width, strict)
 	if err != nil {
 		return nil, err
 	}

@@ -36,14 +36,15 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("ilasp.learn_independent")
 	defer sp.End()
-	space, err := t.space()
+	ps, err := t.space()
 	if err != nil {
 		return nil, err
 	}
-	v, err := vectorize(&taskOracle{task: t, space: space}, space, runtime.GOMAXPROCS(0), true)
+	v, err := vectorize(&taskOracle{task: t, ps: ps}, ps, runtime.GOMAXPROCS(0), true)
 	if err != nil {
 		return nil, err
 	}
+	space := ps.cands
 	maxRules := opts.MaxRules
 	if maxRules <= 0 {
 		maxRules = 3
@@ -94,7 +95,7 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 	rules := make([]asp.Rule, len(sol))
 	cost := 0
 	for i, ri := range sol {
-		rules[i] = space[ri].Rule
+		rules[i] = ownRule(space[ri].Rule)
 		cost += space[ri].Cost
 	}
 	statIndependentLearns.Inc()

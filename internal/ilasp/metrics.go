@@ -30,4 +30,11 @@ var (
 	statSigFallbacks = obs.C("ilasp.sig.fallbacks")
 	statSigCollapsed = obs.C("ilasp.sig.collapsed")
 	statSigSubsumed  = obs.C("ilasp.sig.subsumed")
+	// One-step evaluations the signature builder ran: candidate instances
+	// against base models, after the guard skip.
+	statSigEvals = obs.C("ilasp.sig.evals")
+
+	// Hypothesis spaces enumerated from a bias (Bias.Space calls): a
+	// memoized space is enumerated once per bias content.
+	statSpaceBuilt = obs.C("ilasp.space.built")
 )

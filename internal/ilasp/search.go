@@ -91,7 +91,7 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 	// that declines is counted, and the search re-solves per hypothesis.
 	var skip []bool
 	if d, ok := o.(Decomposer); ok {
-		if vec, err := vectorize(d, cands, runtime.GOMAXPROCS(0), false); err == nil && vec.n == len(weights) {
+		if vec, err := vectorize(d, preparedOf(o, cands), runtime.GOMAXPROCS(0), false); err == nil && vec.n == len(weights) {
 			c.vec = vec
 			c.uLevels = make([]unionSig, maxRules+1)
 			skip = collapseClasses(cands, order, vec)
@@ -121,6 +121,18 @@ func Search(o Oracle, weights []int, opts LearnOptions) (*Solution, error) {
 		sp.SetAttr("chosen", strconv.Itoa(len(sol.Chosen)))
 	}
 	return sol, nil
+}
+
+// preparedOf returns the space a Decomposer oracle's signatures are
+// built over. A taskOracle holds its own, prepared with guards. Any other
+// oracle's candidates are prepared here, per search, without guards: its
+// instances may depend on the example (asgOracle localizes them per parse
+// tree), so a candidate's ground body atoms need not guard them.
+func preparedOf(o Oracle, cands []Candidate) *preparedSpace {
+	if to, ok := o.(*taskOracle); ok {
+		return to.ps
+	}
+	return prepare(cands, false)
 }
 
 // checker issues coverage checks for the search, owning the check count

@@ -203,12 +203,21 @@ type Decomposer interface {
 // the re-solve path, where Task.Covers meets any such error lazily, at
 // the first check that reaches it.
 //
+// The space comes prepared (prepare): its validation is read, not
+// redone, and when it carries guards, each feasible example's base model
+// becomes a bitset over the space's guard atoms. A (candidate, example)
+// pair whose guard bits are not a subset of it is skipped: a guard atom
+// is missing, so the candidate derives nothing there and EvalPrepared
+// would have returned no atom and no error. Only the evaluations run
+// are counted (ilasp.sig.evals).
+//
 // Evaluation fans out once, on up to width workers (the learners pass
 // GOMAXPROCS), sharded by candidate so each worker owns disjoint
 // signature rows and its own Evaluator scratch; the signatures and the
 // error do not depend on width. This is the only fan-out of either
 // learner.
-func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverVectors, error) {
+func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverVectors, error) {
+	space := ps.cands
 	if strict {
 		for _, c := range space {
 			if c.Rule.Head == nil {
@@ -220,13 +229,8 @@ func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverV
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range space {
-		if c.Rule.IsChoice() {
-			return nil, fmt.Errorf("ilasp: evaluating candidate %q: asp: EvalRule does not support choice rules", c.Rule.String())
-		}
-		if err := asp.CheckSafety(c.Rule); err != nil {
-			return nil, fmt.Errorf("ilasp: evaluating candidate %q: %w", c.Rule.String(), err)
-		}
+	if ps.invalid != nil {
+		return nil, ps.invalid
 	}
 
 	v := &coverVectors{n: len(examples)}
@@ -238,8 +242,12 @@ func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverV
 		ix    *asp.ModelIndex
 		needs []asp.Atom
 		excl  []asp.Atom
+		held  sigWords // the guard atoms the base model holds
 	}
 	states := make([]exState, v.n)
+	guardWords := (len(ps.guardIDs) + 63) / 64
+	held := make(sigWords, v.n*guardWords)
+	var key []byte
 	// stop is the first example that fails the contract; strict builds
 	// still evaluate the examples before it, whose errors come first.
 	stop, stopErr := v.n, error(nil)
@@ -283,7 +291,16 @@ func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverV
 				needs = append(needs, a)
 			}
 		}
-		states[ei] = exState{ix: asp.NewModelIndex(base), needs: needs, excl: e.Exclusions}
+		states[ei] = exState{ix: asp.NewModelIndex(base), needs: needs, excl: e.Exclusions,
+			held: held[ei*guardWords : (ei+1)*guardWords]}
+		if guardWords > 0 {
+			for _, a := range base.Atoms() {
+				key = a.AppendKey(key[:0])
+				if id, ok := ps.guardIDs[string(key)]; ok {
+					states[ei].held.set(id)
+				}
+			}
+		}
 		v.reqOff[ei+1] = v.reqOff[ei] + len(needs)
 	}
 	if stopErr != nil && !strict {
@@ -314,15 +331,19 @@ func vectorize(d Decomposer, space []Candidate, width int, strict bool) (*coverV
 			defer wg.Done()
 			ev := asp.NewEvaluator()
 			limit := stop
+			var evals int64
+			defer func() { statSigEvals.Add(evals) }()
 			for ri := w; ri < len(space); ri += workers {
 				constraint := space[ri].Rule.Head == nil
+				guard := ps.guards[ri]
 			examples:
 				for ei := 0; ei < limit; ei++ {
 					st := &states[ei]
-					if st.ix == nil {
+					if st.ix == nil || !guard.subsetOf(st.held) {
 						continue
 					}
 					for _, r := range d.Instances(ri, ei) {
+						evals++
 						derived, err := ev.EvalPrepared(st.ix, r)
 						if err != nil {
 							fails[w] = evalFail{ei, fmt.Errorf("ilasp: evaluating candidate %q: %w", space[ri].Rule.String(), err)}

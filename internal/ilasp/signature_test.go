@@ -97,48 +97,103 @@ func sigTask(t testing.TB, weight int) *Task {
 	}
 }
 
+// contextTask is sigTask with its facts moved into example contexts
+// that differ, a background deriving b from a, and one more candidate,
+// q(2) :- b. Ground body atoms then refute some (candidate, example)
+// pairs, reading derived atoms (b) as well as context facts; sigTask's
+// shared background refutes none.
+func contextTask(t testing.TB, weight int) *Task {
+	t.Helper()
+	task := sigTask(t, weight)
+	parse := func(src string) *asp.Program {
+		p, err := asp.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	task.Background = parse("b :- a.")
+	task.Space = append(task.Space, Candidate{Rule: parse("q(2) :- b.").Rules[0], Cost: 2})
+	for i, ctx := range []string{"p(1). p(2). a.", "p(2).", "p(3).", "p(1)."} {
+		task.Examples[i].Context = parse(ctx)
+	}
+	return task
+}
+
 // TestSignatureDifferential: the signature-served search returns the
 // same hypothesis and coverage as the re-solve oracle path (dominance
 // and subsumption pruning may legitimately evaluate fewer hypotheses, so
-// Checks can only shrink).
+// Checks can only shrink), with a shared background and with example
+// contexts whose ground body atoms refute some pairs.
 func TestSignatureDifferential(t *testing.T) {
-	for _, noise := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noise=%v", noise), func(t *testing.T) {
-			weight := 0
-			if noise {
-				weight = 5
-			}
-			// resolve hides the oracle's Decomposer methods, so the search
-			// re-solves every check.
-			run := func(resolve bool) (*Solution, error) {
-				task := sigTask(t, weight)
-				var o Oracle = &taskOracle{task: task, space: task.Space}
-				if resolve {
-					o = struct{ Oracle }{o}
+	tasks := []struct {
+		prefix string
+		task   func(testing.TB, int) *Task
+	}{{"", sigTask}, {"example-contexts/", contextTask}}
+	for _, tc := range tasks {
+		for _, noise := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%snoise=%v", tc.prefix, noise), func(t *testing.T) {
+				weight := 0
+				if noise {
+					weight = 5
 				}
-				return Search(o, ExampleWeights(task.Examples),
-					LearnOptions{MaxRules: 3, Noise: noise})
-			}
+				// resolve hides the oracle's Decomposer methods, so the
+				// search re-solves every check.
+				run := func(resolve bool) (*Solution, error) {
+					task := tc.task(t, weight)
+					var o Oracle = &taskOracle{task: task, ps: prepare(task.Space, true)}
+					if resolve {
+						o = struct{ Oracle }{o}
+					}
+					return Search(o, ExampleWeights(task.Examples),
+						LearnOptions{MaxRules: 3, Noise: noise})
+				}
 
-			want, wantErr := run(true)
-			searches := statSigSearches.Value()
-			got, gotErr := run(false)
-			if wantErr != nil || gotErr != nil {
-				t.Fatalf("errors: oracle=%v signatures=%v", wantErr, gotErr)
-			}
-			if statSigSearches.Value() == searches {
-				t.Fatal("task unexpectedly not vectorizable")
-			}
-			if !reflect.DeepEqual(want.Chosen, got.Chosen) {
-				t.Errorf("Chosen: oracle %v, signatures %v", want.Chosen, got.Chosen)
-			}
-			if want.Covered != got.Covered {
-				t.Errorf("Covered: oracle %d, signatures %d", want.Covered, got.Covered)
-			}
-			if got.Checks > want.Checks {
-				t.Errorf("signature path issued %d checks, more than the oracle path's %d", got.Checks, want.Checks)
-			}
-		})
+				want, wantErr := run(true)
+				searches := statSigSearches.Value()
+				got, gotErr := run(false)
+				if wantErr != nil || gotErr != nil {
+					t.Fatalf("errors: oracle=%v signatures=%v", wantErr, gotErr)
+				}
+				if statSigSearches.Value() == searches {
+					t.Fatal("task unexpectedly not vectorizable")
+				}
+				if !reflect.DeepEqual(want.Chosen, got.Chosen) {
+					t.Errorf("Chosen: oracle %v, signatures %v", want.Chosen, got.Chosen)
+				}
+				if want.Covered != got.Covered {
+					t.Errorf("Covered: oracle %d, signatures %d", want.Covered, got.Covered)
+				}
+				if got.Checks > want.Checks {
+					t.Errorf("signature path issued %d checks, more than the oracle path's %d", got.Checks, want.Checks)
+				}
+			})
+		}
+	}
+}
+
+// TestGuardsRefutePairs: on contextTask, guard atoms skip some
+// (candidate, example) evaluations, and the signatures equal those of a
+// build that evaluates every pair: a skipped pair is one EvalPrepared
+// would have found to derive nothing.
+func TestGuardsRefutePairs(t *testing.T) {
+	task := contextTask(t, 0)
+	build := func(guarded bool) (*coverVectors, int64) {
+		ps := prepare(task.Space, guarded)
+		before := statSigEvals.Value()
+		v, err := vectorize(&taskOracle{task: task, ps: ps}, ps, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, statSigEvals.Value() - before
+	}
+	guarded, ran := build(true)
+	plain, all := build(false)
+	if !reflect.DeepEqual(guarded, plain) {
+		t.Fatal("guards changed the signatures")
+	}
+	if pairs := int64(len(task.Space) * len(task.Examples)); all != pairs || ran >= all {
+		t.Fatalf("evaluations: %d with guards, %d without, over %d pairs; want fewer with guards, all without", ran, all, pairs)
 	}
 }
 
@@ -149,11 +204,11 @@ func TestSignatureBudgetDifferential(t *testing.T) {
 		opts := LearnOptions{MaxRules: 3, MaxChecks: budget}
 
 		task := sigTask(t, 0)
-		ref := struct{ Oracle }{&taskOracle{task: task, space: task.Space}}
+		ref := struct{ Oracle }{&taskOracle{task: task, ps: prepare(task.Space, true)}}
 		_, wantErr := Search(ref, ExampleWeights(task.Examples), opts)
 
 		task2 := sigTask(t, 0)
-		sig := &taskOracle{task: task2, space: task2.Space}
+		sig := &taskOracle{task: task2, ps: prepare(task2.Space, true)}
 		_, gotErr := Search(sig, ExampleWeights(task2.Examples), opts)
 
 		if !errors.Is(wantErr, ErrCheckBudget) || !errors.Is(gotErr, ErrCheckBudget) {
@@ -166,7 +221,7 @@ func TestSignatureBudgetDifferential(t *testing.T) {
 // costlier duplicate is collapsed away and never chosen.
 func TestSignatureClasses(t *testing.T) {
 	task := sigTask(t, 0)
-	o := &taskOracle{task: task, space: task.Space}
+	o := &taskOracle{task: task, ps: prepare(task.Space, true)}
 	sol, err := Search(o, ExampleWeights(task.Examples), LearnOptions{MaxRules: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +259,8 @@ func TestVectorizeFallbacks(t *testing.T) {
 	}
 	task := &Task{Background: bg, Space: space,
 		Examples: []Example{{ID: "e", Positive: true}}}
-	if v, _ := vectorize(&taskOracle{task: task, space: space}, space, 1, false); v != nil {
+	ps := prepare(space, true)
+	if v, _ := vectorize(&taskOracle{task: task, ps: ps}, ps, 1, false); v != nil {
 		t.Error("recursive space vectorized")
 	}
 
@@ -219,7 +275,8 @@ func TestVectorizeFallbacks(t *testing.T) {
 	space2 := []Candidate{{Rule: qRule.Rules[0], Cost: 1}}
 	task2 := &Task{Background: multi, Space: space2,
 		Examples: []Example{{ID: "e", Positive: true}}}
-	if v, _ := vectorize(&taskOracle{task: task2, space: space2}, space2, 1, false); v != nil {
+	ps2 := prepare(space2, true)
+	if v, _ := vectorize(&taskOracle{task: task2, ps: ps2}, ps2, 1, false); v != nil {
 		t.Error("multi-model background vectorized")
 	}
 }

@@ -83,12 +83,14 @@ type Task struct {
 	Examples []Example
 }
 
-// space materializes the hypothesis space.
-func (t *Task) space() ([]Candidate, error) {
+// space returns the task's hypothesis space prepared for signature
+// builds: an explicit Space is prepared per call, a bias's space is
+// memoized by bias content (biasSpace) and shared read-only.
+func (t *Task) space() (*preparedSpace, error) {
 	if t.Space != nil {
-		return t.Space, nil
+		return prepare(t.Space, true), nil
 	}
-	return t.Bias.Space()
+	return biasSpace(t.Bias)
 }
 
 // Covers reports whether hypothesis H (rules) covers the example under
@@ -185,19 +187,19 @@ var ErrCheckBudget = fmt.Errorf("ilasp: coverage-check budget exhausted")
 // minimising cost plus the weights of uncovered soft examples; hard
 // (zero-weight) examples must still be covered.
 func (t *Task) Learn(opts LearnOptions) (*Result, error) {
-	space, err := t.space()
+	ps, err := t.space()
 	if err != nil {
 		return nil, err
 	}
-	sol, err := Search(&taskOracle{task: t, space: space}, ExampleWeights(t.Examples), opts)
+	sol, err := Search(&taskOracle{task: t, ps: ps}, ExampleWeights(t.Examples), opts)
 	if err != nil {
 		return nil, err
 	}
 	rules := make([]asp.Rule, len(sol.Chosen))
 	cost := 0
 	for i, ci := range sol.Chosen {
-		rules[i] = space[ci].Rule
-		cost += space[ci].Cost
+		rules[i] = ownRule(ps.cands[ci].Rule)
+		cost += ps.cands[ci].Cost
 	}
 	return &Result{
 		Hypothesis: rules,
@@ -216,25 +218,22 @@ func (t *Task) Learn(opts LearnOptions) (*Result, error) {
 //
 // It is also the task's Decomposer: when the task is independent (see
 // vectorize), the search reads per-candidate coverage signatures and
-// never calls Covers at all.
+// never calls Covers at all. Each candidate is its own instance in every
+// example, so its space is prepared with guards (see preparedOf).
 type taskOracle struct {
-	task  *Task
-	space []Candidate
-
-	// rules are the space's rules, each candidate's one instance in
-	// every example; set by Decompose.
-	rules []asp.Rule
+	task *Task
+	ps   *preparedSpace
 }
 
 var _ Oracle = (*taskOracle)(nil)
 var _ Decomposer = (*taskOracle)(nil)
 
-func (o *taskOracle) Candidates() []Candidate { return o.space }
+func (o *taskOracle) Candidates() []Candidate { return o.ps.cands }
 
 func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 	h := make([]asp.Rule, len(chosen))
 	for i, ci := range chosen {
-		h[i] = o.space[ci].Rule
+		h[i] = o.ps.rules[ci]
 	}
 	return o.task.Covers(h, o.task.Examples[exampleIdx])
 }
@@ -242,12 +241,8 @@ func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 // Decompose admits independent tasks (checkIndependence); an example's
 // base program is background ∪ context.
 func (o *taskOracle) Decompose() ([]Example, []*asp.Program, error) {
-	if err := checkIndependence(o.task, o.space); err != nil {
+	if err := checkIndependence(o.task, o.ps.cands); err != nil {
 		return nil, nil, err
-	}
-	o.rules = make([]asp.Rule, len(o.space))
-	for i, c := range o.space {
-		o.rules[i] = c.Rule
 	}
 	bases := make([]*asp.Program, len(o.task.Examples))
 	for i, e := range o.task.Examples {
@@ -263,4 +258,4 @@ func (o *taskOracle) Decompose() ([]Example, []*asp.Program, error) {
 }
 
 // Instances is the candidate itself, whatever the example.
-func (o *taskOracle) Instances(c, _ int) []asp.Rule { return o.rules[c : c+1] }
+func (o *taskOracle) Instances(c, _ int) []asp.Rule { return o.ps.rules[c : c+1] }

@@ -11,14 +11,22 @@ import (
 )
 
 // TestLearningAllocGuard is the CI regression gate for the learning hot
-// path (set AGENP_BENCH_GUARD=1 to run). It holds four budgets:
+// path (set AGENP_BENCH_GUARD=1 to run). It holds five budgets:
 //
 //   - E3 (clean learning, quick mode) must stay under 90k allocs/op —
 //     the level after per-candidate coverage bitsets, per-worker
 //     evaluator scratch, and the space-enumeration sort fix. The
 //     pre-signature path allocated ~450k/op, so a fallback to
 //     re-solve coverage or per-call evaluator allocation shows up as a
-//     multi-x blowout, not a near miss.
+//     multi-x blowout, not a near miss. The hypothesis space is
+//     memoized by bias content, so allocs/op amortises its one
+//     enumeration over b.N.
+//   - One E3 run (quick mode) must run at most 1,540 one-step candidate
+//     evaluations in the signature builds (ilasp.sig.evals,
+//     deterministic and independent of width): 1,400 when the budget
+//     was set, of 23,100 (candidate, example) pairs, because ground body
+//     atoms the example's base model lacks refute the rest. Evaluating
+//     every pair again reads 23,100.
 //   - One coverage check (ground-and-solve of background ∪ hypothesis ∪
 //     context on a 20-scenario CAV task) must stay under 150 µs/op,
 //     guarding the grounder/solver scratch reuse.
@@ -54,12 +62,23 @@ func TestLearningAllocGuard(t *testing.T) {
 		t.Errorf("E3 allocates %d/op, above the 90k budget", e3.AllocsPerOp())
 	}
 
+	evals := obs.C("ilasp.sig.evals")
+	before := evals.Value()
+	if _, err := experiments.Run("E3", experiments.Options{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	n := evals.Value() - before
+	t.Logf("E3 quick: %d one-step candidate evaluations", n)
+	if n > 1_540 {
+		t.Errorf("E3 runs %d one-step candidate evaluations, above the budget of 1,540", n)
+	}
+
 	work := obs.C("ilasp.independent.noisy_work")
-	before := work.Value()
+	before = work.Value()
 	if _, err := experiments.Run("E6", experiments.Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	n := work.Value() - before
+	n = work.Value() - before
 	t.Logf("E6 quick: %d units of noisy search work", n)
 	if n > 2_300_000 {
 		t.Errorf("E6 does %d units of noisy search work, above the 2,300,000 budget", n)
