@@ -46,8 +46,6 @@ cs -> ε { size(0). }
 	return g
 }
 
-func asgAcceptOptions() asg.AcceptOptions { return asg.AcceptOptions{} }
-
 func asgGenerateOptions(maxNodes int) asg.GenerateOptions {
 	return asg.GenerateOptions{MaxNodes: maxNodes}
 }
@@ -109,18 +107,22 @@ func BenchmarkE8ScalabilitySolver(b *testing.B) {
 	}
 }
 
+// coloringRules 3-colors the node/edge graph.
+const coloringRules = `
+	col(r). col(g). col(b).
+	{color(N, C)} :- node(N), col(C).
+	colored(N) :- color(N, C).
+	:- node(N), not colored(N).
+	:- color(N, C1), color(N, C2), C1 != C2.
+	:- edge(X, Y), color(X, C), color(Y, C).
+`
+
+// coloringProgram 3-colors an n-node cycle.
 func coloringProgram(n int) *asp.Program {
-	src := "col(r). col(g). col(b).\n"
+	src := coloringRules
 	for i := 0; i < n; i++ {
 		src += fmt.Sprintf("node(n%d). edge(n%d, n%d).\n", i, i, (i+1)%n)
 	}
-	src += `
-		{color(N, C)} :- node(N), col(C).
-		colored(N) :- color(N, C).
-		:- node(N), not colored(N).
-		:- color(N, C1), color(N, C2), C1 != C2.
-		:- edge(X, Y), color(X, C), color(Y, C).
-	`
 	p, err := asp.Parse(src)
 	if err != nil {
 		panic(err)
@@ -130,13 +132,22 @@ func coloringProgram(n int) *asp.Program {
 
 // --- ablation benchmarks (design choices from DESIGN.md) ---
 
-// BenchmarkSolveEngines measures the CDNL engine on a tight constraint
-// program (graph coloring) and a non-tight one (coloring plus a positive
-// reachability loop that exercises the unfounded-set check). The
-// sub-benchmarks keep their /cdnl suffix so snapshots that recorded the
-// engine A/B still compare.
-func BenchmarkSolveEngines(b *testing.B) {
-	nonTight := coloringProgram(6)
+// solveCase is one ground program of BenchmarkSolveEngines and
+// TestSolveWorkGuard.
+type solveCase struct {
+	name string
+	g    *asp.GroundProgram
+}
+
+// solveBenchCases grounds the CDNL engine's three workloads: a tight
+// constraint program (graph coloring) and a non-tight one (coloring
+// plus a positive reachability loop that exercises the unfounded-set
+// check), whose answer sets the solver enumerates without a conflict,
+// and a graph with no 3-coloring, which it refutes by conflict-driven
+// learning: an outer and an inner 5-cycle joined by spokes, plus the
+// inner pentagram.
+func solveBenchCases(tb testing.TB) []solveCase {
+	tb.Helper()
 	extra, err := asp.Parse(`
 		reach(n0).
 		reach(Y) :- reach(X), edge(X, Y).
@@ -144,26 +155,40 @@ func BenchmarkSolveEngines(b *testing.B) {
 		:- node(N), not reach(N).
 	`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	nonTight = asp.NewProgram(append(nonTight.Rules, extra.Rules...)...)
-	cases := []struct {
-		name string
-		prog *asp.Program
-	}{
-		{"tight", coloringProgram(6)},
-		{"nontight", nonTight},
+	unsat, err := asp.Parse(coloringRules + `
+		node(1..10).
+		edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 5). edge(5, 1).
+		edge(6, 7). edge(7, 8). edge(8, 9). edge(9, 10). edge(10, 6).
+		edge(1, 6). edge(2, 7). edge(3, 8). edge(4, 9). edge(5, 10).
+		edge(6, 8). edge(7, 9). edge(8, 10). edge(9, 6). edge(10, 7).
+	`)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, tc := range cases {
+	ground := func(name string, p *asp.Program) solveCase {
+		g, err := asp.Ground(p, asp.GroundingOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return solveCase{name, g}
+	}
+	return []solveCase{
+		ground("tight", coloringProgram(6)),
+		ground("nontight", asp.NewProgram(append(coloringProgram(6).Rules, extra.Rules...)...)),
+		ground("unsat", unsat),
+	}
+}
+
+// BenchmarkSolveEngines measures the CDNL engine on solveBenchCases. The
+// sub-benchmarks keep the /cdnl suffix the BENCH snapshots record.
+func BenchmarkSolveEngines(b *testing.B) {
+	for _, tc := range solveBenchCases(b) {
 		b.Run(tc.name+"/cdnl", func(b *testing.B) {
 			b.ReportAllocs()
-			g, err := asp.Ground(tc.prog, asp.GroundingOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := asp.SolveGround(g, asp.SolveOptions{}); err != nil {
+				if _, err := asp.SolveGround(tc.g, asp.SolveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -268,7 +293,7 @@ func BenchmarkAblationMembership(b *testing.B) {
 	b.Run("earley-membership", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ok, err := g.Accepts(tokens, asgAcceptOptions())
+			ok, err := g.Accepts(tokens)
 			if err != nil || !ok {
 				b.Fatalf("accept = %v, %v", ok, err)
 			}
@@ -296,10 +321,13 @@ func BenchmarkAblationMembership(b *testing.B) {
 	})
 }
 
-// BenchmarkCoverageCheck measures one learner coverage check — the unit
-// of work the search engine issues millions of times — as a full
-// ground-and-solve of background ∪ hypothesis ∪ context on a CAV task.
-func BenchmarkCoverageCheck(b *testing.B) {
+// coverageCheck returns one learner coverage check — the unit of work
+// the re-solve search issues per (hypothesis, example) — as a full
+// ground-and-solve of background ∪ hypothesis ∪ context on a
+// 20-scenario CAV task: the work of BenchmarkCoverageCheck and of
+// TestLearningAllocGuard's coverage budget.
+func coverageCheck(tb testing.TB) func() error {
+	tb.Helper()
 	scenarios := cav.Generate(1, 20)
 	task := &ilasp.Task{
 		Background: cav.Background(),
@@ -308,13 +336,21 @@ func BenchmarkCoverageCheck(b *testing.B) {
 	}
 	res, err := task.LearnIndependent(ilasp.LearnOptions{MaxRules: 3})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ex := task.Examples[0]
+	return func() error {
+		_, err := task.Covers(res.Hypothesis, task.Examples[0])
+		return err
+	}
+}
+
+// BenchmarkCoverageCheck measures one coverageCheck.
+func BenchmarkCoverageCheck(b *testing.B) {
+	check := coverageCheck(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := task.Covers(res.Hypothesis, ex); err != nil {
+		if err := check(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -514,34 +550,52 @@ func polcheckFixture(n int) *xacml.PolicySet {
 	return ps
 }
 
-// BenchmarkPolcheck measures the symbolic policy-set verifier
-// (internal/polcheck) — full AnalyzeSet including the pairwise
-// cross-policy sweep and subsumption, and the generation diff. The
-// TestPolcheckLatencyGuard gate keeps analysis sub-millisecond at 100
-// policies.
-func BenchmarkPolcheck(b *testing.B) {
-	for _, n := range []int{10, 100} {
+// polcheckWorkload is one BenchmarkPolcheck sub-benchmark, shared with
+// TestPolcheckLatencyGuard.
+type polcheckWorkload struct {
+	name string
+	run  func(testing.TB)
+}
+
+// polcheckWorkloads returns AnalyzeSet of the conflict-free 10- and
+// 100-policy fixtures, which must report no findings, and the
+// generation diff of two 100-policy fixtures one decision flip apart.
+func polcheckWorkloads() []polcheckWorkload {
+	analyze := func(n int) func(testing.TB) {
 		ps := polcheckFixture(n)
-		b.Run(fmt.Sprintf("analyze=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if rep := polcheck.AnalyzeSet(ps, polcheck.Options{}); len(rep.Findings) != 0 {
-					b.Fatalf("fixture has findings: %v", rep)
-				}
+		return func(tb testing.TB) {
+			if rep := polcheck.AnalyzeSet(ps, polcheck.Options{}); len(rep.Findings) != 0 {
+				tb.Fatalf("fixture has findings: %v", rep)
 			}
-		})
+		}
 	}
 	old, new := polcheckFixture(100), polcheckFixture(100)
 	new.Policies[50].Rules[1].Effect = xacml.Deny // one generation flip
-	b.Run("diff=100", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	return []polcheckWorkload{
+		{"analyze=10", analyze(10)},
+		{"analyze=100", analyze(100)},
+		{"diff=100", func(tb testing.TB) {
 			d, err := polcheck.DiffSets(old, new, polcheck.Options{SkipValidation: true})
 			if err != nil || !d.Changed() {
-				b.Fatalf("diff = %v, %v", d, err)
+				tb.Fatalf("diff = %v, %v", d, err)
 			}
-		}
-	})
+		}},
+	}
+}
+
+// BenchmarkPolcheck measures the symbolic policy-set verifier
+// (internal/polcheck) — full AnalyzeSet including the pairwise
+// cross-policy sweep and subsumption, and the generation diff.
+// TestPolcheckLatencyGuard gates the allocations of each sub-benchmark.
+func BenchmarkPolcheck(b *testing.B) {
+	for _, w := range polcheckWorkloads() {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.run(b)
+			}
+		})
+	}
 }
 
 // --- micro-benchmarks of the substrates ---

@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("check needs a policy string argument")
 		}
 		tokens := strings.Fields(fs.Arg(1))
-		ok, err := g.Accepts(tokens, asg.AcceptOptions{})
+		ok, err := g.Accepts(tokens)
 		if err != nil {
 			return err
 		}

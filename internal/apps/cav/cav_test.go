@@ -138,7 +138,7 @@ func TestGrammarGroundTruthMembership(t *testing.T) {
 		t.Helper()
 		full := s.EnvContext()
 		full.Extend(Background())
-		ok, err := g.WithContext(full).Accepts(policyTokens, asg.AcceptOptions{})
+		ok, err := g.WithContext(full).Accepts(policyTokens)
 		if err != nil {
 			t.Fatal(err)
 		}

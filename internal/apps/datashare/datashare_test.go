@@ -80,7 +80,7 @@ func TestGrammarContextDependentSharing(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := g.WithContext(tt.o.EnvContext()).Accepts(strings.Fields(tt.policy), asg.AcceptOptions{})
+			got, err := g.WithContext(tt.o.EnvContext()).Accepts(strings.Fields(tt.policy))
 			if err != nil {
 				t.Fatal(err)
 			}

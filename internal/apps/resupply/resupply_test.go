@@ -117,7 +117,7 @@ func TestGrammarMembership(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := g.WithContext(tt.m.EnvContext()).Accepts(strings.Fields(tt.plan), asg.AcceptOptions{})
+			got, err := g.WithContext(tt.m.EnvContext()).Accepts(strings.Fields(tt.plan))
 			if err != nil {
 				t.Fatal(err)
 			}

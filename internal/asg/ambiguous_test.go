@@ -18,7 +18,7 @@ s -> bad | good
 bad -> "x" { p. :- p. }
 good -> "x"
 `)
-	ok, err := g.Accepts([]string{"x"}, AcceptOptions{})
+	ok, err := g.Accepts([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,29 +31,12 @@ s -> bad | bad2
 bad -> "x" { p. :- p. }
 bad2 -> "x" { q. :- q. }
 `)
-	ok, err = g2.Accepts([]string{"x"}, AcceptOptions{})
+	ok, err = g2.Accepts([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("every parse tree is contradictory; string must be rejected")
-	}
-}
-
-// TestAmbiguousTreeCapRespected: membership under a tight MaxTrees cap
-// still works when the satisfiable tree is among the first returned.
-func TestAmbiguousTreeCap(t *testing.T) {
-	g := mustASG(t, `
-s -> a | b
-a -> "x"
-b -> "x" { p. :- p. }
-`)
-	ok, err := g.Accepts([]string{"x"}, AcceptOptions{MaxTrees: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("first tree (production order) should be the satisfiable one")
 	}
 }
 
@@ -87,7 +70,7 @@ l -> "x" { lmark. }
 r -> "y" { rmark. }
 `)
 	// rmark IS derived at child 2, so the constraint fires: reject.
-	ok, err := g.Accepts([]string{"x", "y"}, AcceptOptions{})
+	ok, err := g.Accepts([]string{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,17 +373,11 @@ func (g *Grammar) TreeValid(t *cfg.Tree) (bool, error) {
 	return asp.HasAnswerSet(prog)
 }
 
-// AcceptOptions configures membership checks and generation.
-type AcceptOptions struct {
-	// MaxTrees caps the parse trees considered per string (ambiguity cap;
-	// 0 = cfg.DefaultMaxTrees).
-	MaxTrees int
-}
-
 // Accepts reports whether the token string is in L(G): some parse tree of
-// the underlying CFG has a satisfiable tree program.
-func (g *Grammar) Accepts(tokens []string, opts AcceptOptions) (bool, error) {
-	trees := g.CFG.ParseAll(tokens, cfg.ParseOptions{MaxTrees: opts.MaxTrees})
+// the underlying CFG, among the first cfg.DefaultMaxTrees, has a
+// satisfiable tree program.
+func (g *Grammar) Accepts(tokens []string) (bool, error) {
+	trees := g.CFG.ParseAll(tokens, cfg.ParseOptions{})
 	for _, t := range trees {
 		ok, err := g.TreeValid(t)
 		if err != nil {

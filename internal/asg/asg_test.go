@@ -80,7 +80,7 @@ func TestAnBnCnMembership(t *testing.T) {
 			name = "(empty)"
 		}
 		t.Run(name, func(t *testing.T) {
-			got, err := g.Accepts(toks(tt.give), AcceptOptions{})
+			got, err := g.Accepts(toks(tt.give))
 			if err != nil {
 				t.Fatalf("Accepts: %v", err)
 			}
@@ -98,7 +98,7 @@ func TestCFGLanguageIsSuperset(t *testing.T) {
 	if !g.CFG.Accepts(s) {
 		t.Fatal("CFG should accept a b b c")
 	}
-	ok, err := g.Accepts(s, AcceptOptions{})
+	ok, err := g.Accepts(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ policy -> "drive"
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := g.WithContext(tt.ctx).Accepts(toks(tt.give), AcceptOptions{})
+			got, err := g.WithContext(tt.ctx).Accepts(toks(tt.give))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ policy -> "drive"
 		})
 	}
 	// The original grammar must be unchanged by WithContext.
-	ok, err := g.Accepts(toks("fly"), AcceptOptions{})
+	ok, err := g.Accepts(toks("fly"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ policy -> "drive"
 `)
 	// Initially everything is valid.
 	for _, s := range []string{"fly", "drive"} {
-		ok, err := g.Accepts(toks(s), AcceptOptions{})
+		ok, err := g.Accepts(toks(s))
 		if err != nil || !ok {
 			t.Fatalf("Accepts(%q) = %v, %v", s, ok, err)
 		}
@@ -292,14 +292,14 @@ policy -> "drive"
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := gh.Accepts(toks("fly"), AcceptOptions{})
+	ok, err := gh.Accepts(toks("fly"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("hypothesis constraint not applied")
 	}
-	ok, err = gh.Accepts(toks("drive"), AcceptOptions{})
+	ok, err = gh.Accepts(toks("drive"))
 	if err != nil || !ok {
 		t.Errorf("drive should stay valid: %v, %v", ok, err)
 	}
@@ -466,7 +466,7 @@ t -> "d"
 	if len(g.CFG.Productions) != 4 {
 		t.Fatalf("got %d productions, want 4", len(g.CFG.Productions))
 	}
-	ok, err := g.Accepts([]string{"c", "d"}, AcceptOptions{})
+	ok, err := g.Accepts([]string{"c", "d"})
 	if err != nil || !ok {
 		t.Errorf("Accepts(c d) = %v, %v", ok, err)
 	}
@@ -504,7 +504,7 @@ s -> "x" {
     :- not mark.
 }
 `)
-	ok, err := g.Accepts([]string{"x"}, AcceptOptions{})
+	ok, err := g.Accepts([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,7 +273,7 @@ func FuzzGenerateAccepts(f *testing.F) {
 			if len(trees) >= cfg.DefaultMaxTrees {
 				return nil, false, false
 			}
-			accepted, err := gc.Accepts(tokens, AcceptOptions{})
+			accepted, err := gc.Accepts(tokens)
 			if err != nil {
 				t.Fatalf("Accepts(%q): %v\n%s\ncontext: %s", s, err, src, ctx)
 			}

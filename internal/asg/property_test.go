@@ -56,7 +56,7 @@ s -> ε { size(0). }
 			genSet := make(map[string]struct{}, len(generated))
 			for _, p := range generated {
 				genSet[p.Text()] = struct{}{}
-				ok, err := gc.Accepts(p.Tokens, AcceptOptions{})
+				ok, err := gc.Accepts(p.Tokens)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ s -> ε { size(0). }
 			// ASG accepts must have been generated.
 			for _, s := range gc.CFG.GenerateStrings(cfg.GenerateOptions{MaxNodes: maxNodes}) {
 				tokens := strings.Fields(s)
-				ok, err := gc.Accepts(tokens, AcceptOptions{})
+				ok, err := gc.Accepts(tokens)
 				if err != nil {
 					t.Fatal(err)
 				}

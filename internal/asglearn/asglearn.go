@@ -51,8 +51,6 @@ type Task struct {
 	Space []asg.HypothesisRule
 	// Examples are E+ and E− merged (polarity per example).
 	Examples []Example
-	// MaxParseTrees caps ambiguity handling in membership checks.
-	MaxParseTrees int
 }
 
 // Covers reports whether hypothesis H covers the example:
@@ -62,7 +60,7 @@ func (t *Task) Covers(h []asg.HypothesisRule, e Example) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ok, err := g.WithContext(e.Context).Accepts(e.Tokens, asg.AcceptOptions{MaxTrees: t.MaxParseTrees})
+	ok, err := g.WithContext(e.Context).Accepts(e.Tokens)
 	if err != nil {
 		return false, fmt.Errorf("asglearn: example %s: %w", e.ID, err)
 	}
@@ -133,10 +131,10 @@ func (t *Task) Learn(opts ilasp.LearnOptions) (*Result, error) {
 //
 // It is also the task's Decomposer. Constraints only remove answer sets,
 // so when every candidate is a constraint, example i has one parse tree
-// T under MaxParseTrees, and the base program (G(C))[T] has one answer
-// set M, H accepts the string iff no chosen constraint, localized at the
-// nodes of T that apply its production, fires in M; with no answer set,
-// or no parse tree, no H accepts it. The search then answers every
+// T, and the base program (G(C))[T] has one answer set M, H accepts the
+// string iff no chosen constraint, localized at the nodes of T that
+// apply its production, fires in M; with no answer set, or no parse
+// tree, no H accepts it. The search then answers every
 // membership check from signatures built with one parse and one solve
 // per example (vectorize declines bases with several answer sets).
 // Candidates are localized through each example's G(C), so they read a
@@ -196,7 +194,7 @@ func (o *asgOracle) Decompose() ([]ilasp.Example, []*asp.Program, error) {
 	o.grammars = make([]*asg.Grammar, len(t.Examples))
 	for i, e := range t.Examples {
 		examples[i] = ilasp.Example{ID: e.ID, Positive: e.Positive}
-		trees := t.Initial.CFG.ParseAll(e.Tokens, cfg.ParseOptions{MaxTrees: t.MaxParseTrees})
+		trees := t.Initial.CFG.ParseAll(e.Tokens, cfg.ParseOptions{})
 		if len(trees) > 1 {
 			return nil, nil, fmt.Errorf("asglearn: example %s has %d parse trees", e.ID, len(trees))
 		}

@@ -81,7 +81,7 @@ func TestLearnContextDependentConstraint(t *testing.T) {
 
 	// The learned grammar behaves per Definition 3 on fresh contexts.
 	rain := ctx(t, "weather(rain).")
-	ok, err := res.Grammar.WithContext(rain).Accepts(toks("accept overtake"), asg.AcceptOptions{})
+	ok, err := res.Grammar.WithContext(rain).Accepts(toks("accept overtake"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLearnContextDependentConstraint(t *testing.T) {
 		t.Error("learned GPM should reject accept-overtake in rain")
 	}
 	clear := ctx(t, "weather(clear).")
-	ok, err = res.Grammar.WithContext(clear).Accepts(toks("accept overtake"), asg.AcceptOptions{})
+	ok, err = res.Grammar.WithContext(clear).Accepts(toks("accept overtake"))
 	if err != nil {
 		t.Fatal(err)
 	}

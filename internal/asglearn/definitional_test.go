@@ -73,8 +73,9 @@ var (
 )
 
 // decodeASGTask decodes a small ASG learning task: at most 6 candidates
-// and at most 4 examples of mixed polarity with weights 0–3, with the
-// parse-tree cap at its default, 1 or 2. Missing bytes read as zero.
+// and at most 4 examples of mixed polarity with weights 0–3. Missing
+// bytes read as zero. Flag bits 4 and 5 are unused; existing corpus
+// entries that set them still decode.
 func decodeASGTask(t *testing.T, data []byte) (*Task, ilasp.LearnOptions) {
 	t.Helper()
 	next := func() int {
@@ -90,7 +91,7 @@ func decodeASGTask(t *testing.T, data []byte) (*Task, ilasp.LearnOptions) {
 		Noise:    flags&1 != 0,
 		MaxRules: 1 + (flags>>1)%3,
 	}
-	task := &Task{Initial: asg.MustParseASG(defGrammar), MaxParseTrees: (flags >> 4) % 3}
+	task := &Task{Initial: asg.MustParseASG(defGrammar)}
 	for n := next() % 7; n > 0; n-- {
 		c := defCandidates[next()%len(defCandidates)]
 		task.Space = append(task.Space, MustParseHypothesisRule(c.src, c.prod))
@@ -259,8 +260,8 @@ func FuzzASGLearnDefinitional(f *testing.F) {
 		// @i atoms against comparisons, mixed polarity, two workers: the
 		// optimum needs two constraints of cost 3.
 		{10, 3, 1, 5, 3, 4, 1, 0, 48, 0, 40, 1, 25, 1},
-		// The ambiguous "a b" under the default cap (re-solve path) and
-		// under a cap of one tree (signature path).
+		// The ambiguous "a b" (re-solve path), with at most two rules and
+		// with one.
 		{2, 3, 2, 0, 8, 3, 16, 3, 9, 1, 25, 0},
 		{18, 3, 2, 0, 8, 3, 16, 3, 9, 1, 25, 0},
 		// Several answer sets ({d}.) and no answer set (c, e, :- c, e.).
@@ -301,7 +302,6 @@ func FuzzASGLearnDefinitional(f *testing.F) {
 // describe renders a task for failure messages.
 func describe(task *Task) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "cap %d;", task.MaxParseTrees)
 	for _, h := range task.Space {
 		fmt.Fprintf(&sb, " %s;", h)
 	}

@@ -63,12 +63,6 @@ type CompiledProgram struct {
 	litBuf []int32 // scratch for body literal canonicalisation
 }
 
-// NumClauseVars returns the solver variable count (atoms plus bodies).
-func (cp *CompiledProgram) NumClauseVars() int { return int(cp.nVars) }
-
-// Tight reports whether the program has no positive dependency cycles.
-func (cp *CompiledProgram) Tight() bool { return cp.nCyclic == 0 }
-
 // compileGround builds the clause form of a ground program.
 func compileGround(g *GroundProgram) *CompiledProgram {
 	n := int32(g.NumAtoms())

@@ -2,6 +2,7 @@ package asp
 
 import (
 	"fmt"
+	"slices"
 )
 
 // EvalRule evaluates a single rule against a fixed interpretation: it
@@ -29,11 +30,18 @@ type ModelIndex struct {
 	byPred map[string][]Atom
 }
 
-// NewModelIndex indexes an answer set by predicate. Iteration follows the
-// model's sorted atom order, so evaluation output is deterministic.
+// NewModelIndex indexes an answer set by predicate. Each predicate's
+// atoms follow the order of their keys, so evaluation output does not
+// depend on how the answer set was built; no atom is rendered.
 func NewModelIndex(m *AnswerSet) *ModelIndex {
+	keys := make([]string, 0, len(m.atoms))
+	for k := range m.atoms {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	ix := &ModelIndex{model: m, byPred: make(map[string][]Atom)}
-	for _, a := range m.Atoms() {
+	for _, k := range keys {
+		a := m.atoms[k]
 		ix.byPred[a.Predicate] = append(ix.byPred[a.Predicate], a)
 	}
 	return ix
@@ -218,7 +226,7 @@ func (ev *Evaluator) step(ix *ModelIndex, r Rule, remaining int) error {
 			key = append(key, ';')
 		}
 		ev.key = key
-		if ix.model.containsKey(key) {
+		if _, ok := ix.model.atoms[string(key)]; ok { // no allocation
 			return nil
 		}
 		return ev.step(ix, r, remaining-1)
@@ -235,7 +243,8 @@ func (ev *Evaluator) emit(r Rule) error {
 		// Constraint body satisfied: represent with a marker atom so
 		// callers can detect violation.
 		atom = Atom{Predicate: "_violated"}
-	} else if len(r.Head.Args) == 0 {
+	} else if plainArgs(r.Head.Args) {
+		// Ground and arithmetic-free: the head is its own instance.
 		atom = *r.Head
 	} else {
 		args := make([]Term, len(r.Head.Args))
@@ -258,6 +267,23 @@ func (ev *Evaluator) emit(r Rule) error {
 	}
 	ev.out = append(ev.out, atom)
 	return nil
+}
+
+// plainArgs reports whether every term is ground and arithmetic-free,
+// so no binding or evaluation changes it.
+func plainArgs(ts []Term) bool {
+	for _, t := range ts {
+		switch x := t.(type) {
+		case Constant, Integer:
+		case Compound:
+			if !plainArgs(x.Args) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // AtomsEqual reports whether two atoms are structurally identical

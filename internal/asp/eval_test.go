@@ -1,6 +1,10 @@
 package asp
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -160,5 +164,68 @@ func TestEvalRuleMatchesGrounding(t *testing.T) {
 	}
 	if len(heads) != 1 || !heads["decision(permit)"] {
 		t.Errorf("EvalRule disagrees with solver: %v", heads)
+	}
+}
+
+// TestEvalOrderIndependentOfInsertion: EvalRule and Evaluator.EvalPrepared
+// return the same atoms in the same order, and the same first error, for
+// answer sets built from the same atoms in different insertion orders.
+// Each rule derives several heads or fails on more than one fact, so an
+// index that followed insertion or map order would show.
+func TestEvalOrderIndependentOfInsertion(t *testing.T) {
+	var atoms []Atom
+	for _, s := range []string{
+		"p(3)", "p(1)", "p(a)", "p(0)", "p(f(b))", "p(b)", "p(12)", "p(2)",
+		"q(1, x)", "q(2, y)", "q(1, z)", "q(b, x)", "blocked(2)", "flag",
+	} {
+		a, err := ParseAtom(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atoms = append(atoms, a)
+	}
+	rules := []string{
+		"s(X) :- p(X).",
+		"t(X, Z) :- p(X), q(X, Z).",
+		"u(Y) :- p(X), Y = X + 1.",                 // fails on a, b and f(b)
+		"v(Y) :- q(X, Z), Y = 12 / X.",             // fails on b
+		"w(Y) :- p(X), not blocked(X), Y = 6 / X.", // fails on 0, a, b, f(b)
+		"decision(deny) :- p(X), flag.",
+		":- p(X), X > 2.",
+	}
+	render := func(heads []Atom, err error) string {
+		var sb strings.Builder
+		for _, h := range heads {
+			sb.WriteString(h.String() + " ")
+		}
+		return fmt.Sprintf("%s| %v", sb.String(), err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, src := range rules {
+		r, err := ParseRule(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		for round := 0; round < 20; round++ {
+			order := slices.Clone(atoms)
+			switch round {
+			case 0:
+			case 1:
+				slices.Reverse(order)
+			default:
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+			m := NewAnswerSet(order...)
+			got := render(EvalRule(r, m))
+			if round == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: EvalRule gives %q for insertion order %v, %q for %v", src, got, order, want, atoms)
+			}
+			if got := render(NewEvaluator().EvalPrepared(NewModelIndex(m), r)); got != want {
+				t.Fatalf("%s: EvalPrepared gives %q for insertion order %v, EvalRule %q", src, got, order, want)
+			}
+		}
 	}
 }

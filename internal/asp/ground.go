@@ -465,27 +465,6 @@ func NewInterner() *Interner {
 	return &Interner{index: make(map[string]int32)}
 }
 
-// Intern returns the id of a ground atom, assigning the next dense id on
-// first sight.
-func (in *Interner) Intern(a Atom) int32 {
-	key := a.Key()
-	if id, ok := in.index[key]; ok {
-		return id
-	}
-	id := int32(len(in.atoms))
-	in.atoms = append(in.atoms, a)
-	in.index[key] = id
-	return id
-}
-
-// Lookup returns the id of an atom, or -1 when it was never interned.
-func (in *Interner) Lookup(a Atom) int32 {
-	if id, ok := in.index[a.Key()]; ok {
-		return id
-	}
-	return -1
-}
-
 // Atom returns the atom for an id.
 func (in *Interner) Atom(id int32) Atom { return in.atoms[id] }
 

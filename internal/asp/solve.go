@@ -35,10 +35,9 @@ func (as *AnswerSet) Contains(a Atom) bool {
 	return ok
 }
 
-// containsKey reports membership by a precomputed atom key (see
-// appendAtomKey); the byte-slice map probe does not allocate.
-func (as *AnswerSet) containsKey(k []byte) bool {
-	_, ok := as.atoms[string(k)]
+// ContainsKey reports membership by an atom's key (Atom.Key).
+func (as *AnswerSet) ContainsKey(key string) bool {
+	_, ok := as.atoms[key]
 	return ok
 }
 

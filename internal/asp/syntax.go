@@ -232,11 +232,6 @@ func NewConstraint(body ...Literal) Rule {
 	return Rule{Body: body}
 }
 
-// NewChoice builds a choice rule.
-func NewChoice(atoms []Atom, body ...Literal) Rule {
-	return Rule{Choice: atoms, Body: body}
-}
-
 // NewFact builds a rule with an empty body.
 func NewFact(head Atom) Rule {
 	h := head

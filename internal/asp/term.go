@@ -12,7 +12,6 @@ package asp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -400,9 +399,4 @@ func termRank(t Term) int {
 	default:
 		return 4
 	}
-}
-
-// SortTerms sorts terms in place by CompareTerms.
-func SortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTerms(ts[i], ts[j]) < 0 })
 }

@@ -88,7 +88,7 @@ func (gen *generator) sequence(syms []Symbol, budget int, emit func([]*Tree) boo
 	head, rest := syms[0], syms[1:]
 	restMin := minNodes(rest)
 	ok := true
-	gen.symbolBounded(head, budget-restMin, func(t *Tree) bool {
+	gen.symbol(head, budget-restMin, func(t *Tree) bool {
 		used := t.Size()
 		cont := gen.sequence(rest, budget-used, func(tail []*Tree) bool {
 			return emit(append([]*Tree{t}, tail...))
@@ -99,11 +99,6 @@ func (gen *generator) sequence(syms []Symbol, budget int, emit func([]*Tree) boo
 		return cont && !gen.stopped
 	})
 	return ok
-}
-
-// symbolBounded is symbol() with emit allowed to stop enumeration.
-func (gen *generator) symbolBounded(sym Symbol, budget int, emit func(*Tree) bool) {
-	gen.symbol(sym, budget, emit)
 }
 
 // minNodes returns a lower bound on the node count needed to derive the

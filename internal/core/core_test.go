@@ -88,15 +88,20 @@ func TestGenerateAllPolicies(t *testing.T) {
 	}
 }
 
+// TestGenerateBounded: generation stops at MaxPolicyNodes, so a
+// recursive grammar yields a finite language. "accept"ᵏ derives with 2k
+// nodes.
 func TestGenerateBounded(t *testing.T) {
-	m := newGPM(t)
-	m.MaxPolicies = 2
+	m, err := ParseGPM(`policy -> "accept" | "accept" policy`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps, err := m.Generate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 2 {
-		t.Errorf("MaxPolicies ignored: %d", len(ps))
+	if len(ps) != MaxPolicyNodes/2 {
+		t.Errorf("got %d policies, want %d", len(ps), MaxPolicyNodes/2)
 	}
 }
 
@@ -182,10 +187,10 @@ func TestEvolveNoSolution(t *testing.T) {
 func TestExamplesFromFeedback(t *testing.T) {
 	fb := []Feedback{
 		{Tokens: []string{"accept", "park"}, Valid: true},
-		{Tokens: []string{"accept", "overtake"}, Valid: false, Weight: 5},
+		{Tokens: []string{"accept", "overtake"}, Valid: false},
 	}
 	ex := ExamplesFromFeedback(fb)
-	if len(ex) != 2 || !ex[0].Positive || ex[1].Positive || ex[1].Weight != 5 {
+	if len(ex) != 2 || !ex[0].Positive || ex[1].Positive {
 		t.Errorf("examples = %+v", ex)
 	}
 	if ex[0].ID == ex[1].ID {

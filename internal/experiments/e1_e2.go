@@ -74,7 +74,7 @@ func RunE1(opts Options) (*Table, error) {
 	rainy := cav.Scenario{Weather: "rain", Task: "overtake", LOA: 5, RegionMin: 1}
 	ctx := rainy.EnvContext()
 	ctx.Extend(cav.Background())
-	ok, err := res.Grammar.WithContext(ctx).Accepts([]string{"accept", "overtake"}, asg.AcceptOptions{})
+	ok, err := res.Grammar.WithContext(ctx).Accepts([]string{"accept", "overtake"})
 	if err != nil {
 		return nil, err
 	}

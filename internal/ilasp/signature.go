@@ -247,7 +247,6 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 	states := make([]exState, v.n)
 	guardWords := (len(ps.guardIDs) + 63) / 64
 	held := make(sigWords, v.n*guardWords)
-	var key []byte
 	// stop is the first example that fails the contract; strict builds
 	// still evaluate the examples before it, whose errors come first.
 	stop, stopErr := v.n, error(nil)
@@ -293,12 +292,9 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 		}
 		states[ei] = exState{ix: asp.NewModelIndex(base), needs: needs, excl: e.Exclusions,
 			held: held[ei*guardWords : (ei+1)*guardWords]}
-		if guardWords > 0 {
-			for _, a := range base.Atoms() {
-				key = a.AppendKey(key[:0])
-				if id, ok := ps.guardIDs[string(key)]; ok {
-					states[ei].held.set(id)
-				}
+		for key, id := range ps.guardIDs {
+			if base.ContainsKey(key) {
+				states[ei].held.set(id)
 			}
 		}
 		v.reqOff[ei+1] = v.reqOff[ei] + len(needs)

@@ -284,7 +284,7 @@ func TestDefinitionThreeEquivalence(t *testing.T) {
 	for _, s := range test {
 		ctx := s.EnvContext()
 		ctx.Extend(cav.Background())
-		ok, err := asgRes.Grammar.WithContext(ctx).Accepts([]string{"accept", s.Task}, asg.AcceptOptions{})
+		ok, err := asgRes.Grammar.WithContext(ctx).Accepts([]string{"accept", s.Task})
 		if err != nil {
 			t.Fatal(err)
 		}

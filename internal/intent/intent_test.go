@@ -77,7 +77,7 @@ func TestCompiledGrammarBehaviour(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := g.WithContext(ctx(t, tt.context)).Accepts(strings.Fields(tt.policy), asg.AcceptOptions{})
+			got, err := g.WithContext(ctx(t, tt.context)).Accepts(strings.Fields(tt.policy))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,19 +80,6 @@ func ParsePolicies(src string) ([]*Policy, error) {
 	return out, nil
 }
 
-// FormatPolicies renders a sequence of policies in the form
-// ParsePolicies reads.
-func FormatPolicies(pols []*Policy) string {
-	var sb strings.Builder
-	for i, p := range pols {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		sb.WriteString(p.Format())
-	}
-	return sb.String()
-}
-
 func tokenizePolicy(src string) []string {
 	var toks []string
 	i := 0
