@@ -3,6 +3,7 @@ package ilasp
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -314,6 +315,12 @@ func FuzzLearnDefinitional(f *testing.F) {
 		// Choice: {h} :- a. and {g; q(1)}. are both needed, for one
 		// answer set with h and one without, and for g with q(1).
 		{0x40, 3, 21, 1, 22, 1, 0, 1, 3, 9, 1, 0, 9, 0, 1, 1, 6, 0},
+		// Noisy: q(X) :- p(X). (cost 1) provides e0's need q(1) but
+		// violates e0, which excludes q(2); q(1) :- p(1). (cost 3)
+		// provides it cleanly. The optimum abandons e0 (weight 1) and
+		// covers e1 (weight 3, needs q(2)) with q(X) :- p(X)., so the
+		// abandon branch must leave the violating provider allowed.
+		{3, 2, 10, 1, 11, 3, 2, 195, 4, 8, 135, 8, 0},
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -437,5 +444,90 @@ func TestLearnCheckerRejectsNonOptimal(t *testing.T) {
 	}
 	if tab.check(task, opts, nil, ErrNoSolution) == nil {
 		t.Error("checker accepts ErrNoSolution on a solvable task")
+	}
+}
+
+// noisyAccessTask draws a noise-tolerant access-control task shaped like
+// the benchmark's noisy jobs but small enough for brute force: requests
+// over four roles, three resources and three actions, labelled by role
+// (dba and analyst permitted, dev and guest denied), with about a fifth
+// of the labels flipped or made NotApplicable, weights 1–4 (about one
+// example in twelve hard), and the single-literal decision rules at
+// costs 1–3. With resources false the rules read only role and action:
+// 14 candidates instead of 20, so MaxRules 4 stays cheap to enumerate.
+func noisyAccessTask(t *testing.T, rng *rand.Rand, examples int, resources bool) *Task {
+	t.Helper()
+	roles := []string{"dba", "dev", "analyst", "guest"}
+	types := []string{"report", "record", "log"}
+	actions := []string{"read", "write", "delete"}
+	bias := Bias{
+		Head: []ModeAtom{M("decision", Const("effect"))},
+		Body: []ModeAtom{
+			M("subject", Const("roleattr"), Const("role")),
+			M("action", Const("idattr"), Const("act")),
+		},
+		Constants: map[string][]asp.Term{
+			"effect":   Constants("permit", "deny"),
+			"role":     Constants(roles...),
+			"res":      Constants(types...),
+			"act":      Constants(actions...),
+			"roleattr": Constants("role"),
+			"typeattr": Constants("type"),
+			"idattr":   Constants("id"),
+		},
+		MaxVars:     1,
+		MaxBody:     1,
+		RequireBody: true,
+	}
+	if resources {
+		bias.Body = append(bias.Body, M("resource", Const("typeattr"), Const("res")))
+	}
+	space, err := bias.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range space {
+		space[i].Cost = 1 + rng.Intn(3)
+	}
+	task := &Task{Space: space}
+	permit, deny := atom(t, "decision(permit)"), atom(t, "decision(deny)")
+	for i := 0; i < examples; i++ {
+		role := rng.Intn(len(roles))
+		ctx := fmt.Sprintf("subject(role, %s). resource(type, %s). action(id, %s).",
+			roles[role], types[rng.Intn(len(types))], actions[rng.Intn(len(actions))])
+		yes, no := permit, deny
+		if role%2 == 1 {
+			yes, no = deny, permit
+		}
+		e := PosExample(fmt.Sprintf("req%d", i), []asp.Atom{yes}, []asp.Atom{no}, prog(t, ctx))
+		switch rng.Intn(10) {
+		case 0: // flipped
+			e.Inclusions, e.Exclusions = e.Exclusions, e.Inclusions
+		case 1: // NotApplicable
+			e.Inclusions, e.Exclusions = nil, []asp.Atom{permit, deny}
+		}
+		if rng.Intn(12) > 0 {
+			e.Weight = 1 + rng.Intn(4)
+		}
+		task.Examples = append(task.Examples, e)
+	}
+	return task
+}
+
+// TestNoisyAccessTasksOptimal checks LearnIndependent's noise-tolerant
+// search against brute force on noisy access-control tasks of 10–16
+// examples at MaxRules 2–4. Unlike FuzzLearnDefinitional's tasks, these
+// are deep enough for coverNoisy's remaining-slot bound to prune: a
+// bound one slot short fails here.
+func TestNoisyAccessTasksOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 9; i++ {
+		opts := LearnOptions{Noise: true, MaxRules: 2 + i%3}
+		task := noisyAccessTask(t, rng, 10+rng.Intn(7), opts.MaxRules < 4)
+		tab := bruteForceLearn(t, task, opts)
+		res, err := task.LearnIndependent(opts)
+		if e := tab.check(task, opts, res, err); e != nil {
+			t.Errorf("task %d (%d examples, MaxRules %d): %v", i, len(task.Examples), opts.MaxRules, e)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ilasp
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strconv"
@@ -259,43 +260,69 @@ func coverHard(v *coverVectors, space []Candidate, pool []int, maxRules, maxCost
 	return best, v.n, nil
 }
 
-// Example status in the coverNoisy search, tracked per depth.
-const (
-	cnPending byte = iota // some requirement still unmet
-	cnCovered             // all requirements met, no violation
-	cnBroken              // infeasible or violated by a chosen rule
-)
-
-// coverNoisy maximises weighted coverage minus cost. Hard (zero-weight)
-// examples must be covered. The search branches on the first unmet
-// requirement: either one of the rules providing it is added, or the
-// whole example is abandoned (paying its weight) — a complete
-// branch-and-bound whose branching factor is the number of providers per
-// requirement rather than the pool size. Example status is kept in
-// per-depth byte arrays: a push copies the parent level and revisits
-// only the pushed rule's affected examples (inverted fire/viol lists),
-// so the per-node scan reads one byte per example instead of running a
-// word-range allSet over its requirement bits.
+// coverNoisy maximises weighted coverage minus cost: it returns a rule
+// set of least objective — cost plus the weights of the soft examples
+// left uncovered — among those covering every hard (zero-weight)
+// example, and its covered count. The search branches on the first open
+// example (pending: feasible, some need unmet, violated by no chosen
+// rule; and not abandoned): either a provider of its first unmet need is
+// added, in cost order, or the example is abandoned, paying its weight.
+// This complete branch-and-bound branches on the providers of one need
+// rather than the whole pool. The incumbent moves only on a strict
+// improvement, so a tie goes to the first optimum in DFS order, not to
+// higher coverage.
 //
-// The search's work — nodes expanded plus example statuses visited — is
-// counted in a local and flushed once into ilasp.independent.noisy_work,
-// a hardware-independent measure a per-node rescan would inflate.
+// Two prunings drop only leaves that duplicate, or cannot beat, a leaf
+// met earlier in the same DFS order, so neither changes the answer:
+//
+//   - Canonical branching. A provider whose branch is taken is forbidden
+//     in its later siblings' subtrees: any solution holding it was scored
+//     in its own branch. Before the abandon branch, every provider of the
+//     need that does not violate the example is forbidden too: a
+//     solution holding one was scored with the example not abandoned, at
+//     no greater objective. A violating provider stays allowed, as its
+//     branch was never taken.
+//   - Remaining-slot bound. With k = maxRules − depth rules left to add,
+//     an open example ends covered only if an added rule fires on it
+//     without violating it. So the open weight left uncovered is at least
+//     the open weight minus the k largest gains (the open weight a rule
+//     fires on without violating) among the rules still allowed. The
+//     bound is computed only when cost, lost and open weight together
+//     reach the incumbent, and it scans the rules in order of their gain
+//     at the root, an upper bound on their gain at any node, so the scan
+//     ends once no later rule can enter the top k.
+//
+// Example status lives in per-depth bitsets (pending, covered; broken is
+// neither) with per-depth aggregates: a push copies the parent level and
+// revisits only the pushed rule's affected examples (inverted fire/viol
+// lists). The search's work — nodes expanded, example statuses visited
+// and candidates the bound scans — is counted in a local and flushed once
+// into ilasp.independent.noisy_work, a hardware-independent measure.
 func coverNoisy(v *coverVectors, weights []int, space []Candidate, pool []int, maxRules, maxCost int) ([]int, int, error) {
 	if maxCost <= 0 {
 		maxCost = 1 << 30
 	}
 	n := v.n
+	// soft[ei] is what leaving example ei uncovered costs: 0 for a hard
+	// example, which must be covered instead.
+	soft := make([]int, n)
+	for ei, w := range weights {
+		soft[ei] = max(w, 0)
+	}
 
 	// providers[ei][ni] = pool rules deriving need ni of example ei, in
 	// cost order. fireEx/violEx invert the candidate signatures into
-	// affected-example lists for the incremental status updates.
+	// affected-example lists for the incremental status updates, and
+	// gain[ri] marks the examples ri fires on without violating them.
 	providers := make([][][]int, n)
 	for ei := range providers {
 		providers[ei] = make([][]int, v.reqOff[ei+1]-v.reqOff[ei])
 	}
 	fireEx := make([][]int32, len(space))
 	violEx := make([][]int32, len(space))
+	gain := make([]sigWords, len(space))
 	for _, ri := range pool {
+		gain[ri] = newSig(n)
 		for ei := 0; ei < n; ei++ {
 			fires := false
 			for ni := range providers[ei] {
@@ -304,180 +331,264 @@ func coverNoisy(v *coverVectors, weights []int, space []Candidate, pool []int, m
 					fires = true
 				}
 			}
+			violates := v.viol[ri].get(ei)
 			if fires {
 				fireEx[ri] = append(fireEx[ri], int32(ei))
+				if !violates {
+					gain[ri].set(ei)
+				}
 			}
-			if v.viol[ri].get(ei) {
+			if violates {
 				violEx[ri] = append(violEx[ri], int32(ei))
 			}
 		}
 	}
 
-	type state struct {
-		chosen    []int
-		cost      int
-		abandoned []bool
-		abandList []int // currently abandoned examples, in path order
-	}
-	bestObj := 1 << 30
-	var best []int
-	bestCovered := -1
-	found := false
-	var work int64
-
 	// uReq[d] holds the union fire signature of the first d chosen rules
 	// (needed for first-unmet-need lookup and covered re-checks); a push
 	// at depth d writes level d+1 only, so parent levels survive the
-	// recursion. status[d] holds the per-example status bytes at depth d,
-	// with lostD/coveredD/hardBrokenD the matching aggregates (soft
-	// weight lost to broken examples, covered count, any hard example
-	// broken) so a node never rescans the whole example set.
+	// recursion. pend[d] and cov[d] hold the pending and covered examples
+	// at depth d, with lostD/coveredD/pendW/hardBrokenD the matching
+	// aggregates (soft weight lost to broken examples, covered count,
+	// soft weight pending, any hard example broken) so a node never
+	// rescans the whole example set.
 	uReq := make([]sigWords, maxRules+1)
-	status := make([][]byte, maxRules+1)
+	pend := make([]sigWords, maxRules+1)
+	cov := make([]sigWords, maxRules+1)
 	lostD := make([]int, maxRules+1)
 	coveredD := make([]int, maxRules+1)
+	pendW := make([]int, maxRules+1)
 	hardBrokenD := make([]bool, maxRules+1)
 	for d := 0; d <= maxRules; d++ {
 		uReq[d] = newSig(v.nreq)
-		status[d] = make([]byte, n)
+		pend[d] = newSig(n)
+		cov[d] = newSig(n)
 	}
 	for ei := 0; ei < n; ei++ {
 		switch {
 		case !v.feasible[ei]:
-			status[0][ei] = cnBroken
 			if weights[ei] <= 0 {
 				hardBrokenD[0] = true
 			} else {
 				lostD[0] += weights[ei]
 			}
-		case uReq[0].allSet(v.reqOff[ei], v.reqOff[ei+1]):
-			status[0][ei] = cnCovered
+		case v.reqOff[ei] == v.reqOff[ei+1]: // no need: covered as it is
+			cov[0].set(ei)
 			coveredD[0]++
+		default:
+			pend[0].set(ei)
+			pendW[0] += soft[ei]
 		}
 	}
 
-	// dfs evaluates the node for the current chosen set. from is a lower
-	// bound on the first pending example: statuses only move
-	// pending→covered/broken and the abandoned set only grows down a
-	// path, so the first pending index is non-decreasing with depth.
-	var dfs func(st *state, from int)
-	dfs = func(st *state, from int) {
+	// byGain holds the pool rules with a gain on the examples pending at
+	// the root, largest first. Open examples are always a subset of
+	// those, so a rule's gain at any node is at most its rootGain.
+	rootGain := make([]int, len(space))
+	var byGain []int
+	for _, ri := range pool {
+		if rootGain[ri] = weightIn(soft, gain[ri], pend[0]); rootGain[ri] > 0 {
+			byGain = append(byGain, ri)
+		}
+	}
+	sort.SliceStable(byGain, func(a, b int) bool { return rootGain[byGain[a]] > rootGain[byGain[b]] })
+
+	var (
+		chosen      []int
+		cost        int
+		abandoned   = newSig(n)
+		open        = newSig(n) // pending and not abandoned, at the current node
+		forbidden   = make([]bool, len(space))
+		forbids     []int                      // forbidden rules in the order forbidden, undone per node
+		topGains    = make([]int, 0, maxRules) // slotGain's top gains, largest first
+		bestObj     = 1 << 30
+		best        []int
+		bestCovered int
+		found       bool
+		work        int64
+	)
+
+	// slotGain sums the k largest gains on the open examples among the
+	// allowed rules. It stops once the sum reaches need, as the bound can
+	// then no longer prune, or once the next rule's rootGain cannot enter
+	// the top k.
+	slotGain := func(k, need int) int {
+		if k == 0 {
+			return 0
+		}
+		top, sum := topGains[:0], 0
+		for _, ri := range byGain {
+			if len(top) == k && top[k-1] >= rootGain[ri] {
+				break // no later rule can enter the top k
+			}
+			if forbidden[ri] {
+				continue
+			}
+			work++
+			g := weightIn(soft, gain[ri], open)
+			switch {
+			case g == 0:
+				continue
+			case len(top) < k:
+				top = append(top, g)
+			case g > top[k-1]:
+				sum -= top[k-1]
+				top[k-1] = g
+			default:
+				continue
+			}
+			sum += g
+			for i := len(top) - 1; i > 0 && top[i] > top[i-1]; i-- {
+				top[i], top[i-1] = top[i-1], top[i]
+			}
+			if sum >= need {
+				break
+			}
+		}
+		return sum
+	}
+
+	var dfs func()
+	dfs = func() {
 		work++
-		d := len(st.chosen)
-		stat := status[d]
+		d := len(chosen)
 		if hardBrokenD[d] {
 			return // hard example broken: infeasible branch
 		}
 		// Lower bound: cost plus weights of examples already lost.
 		// Abandoned examples pay their weight whatever their status;
 		// broken ones are already in lostD, the rest adjust here.
-		lost := lostD[d]
-		covered := coveredD[d]
-		work += int64(len(st.abandList))
-		for _, ei := range st.abandList {
-			switch stat[ei] {
-			case cnPending:
-				lost += weights[ei]
-			case cnCovered:
-				lost += weights[ei]
+		lost, covered, openW := lostD[d], coveredD[d], pendW[d]
+		for w, a := range abandoned {
+			for b := a & pend[d][w]; b != 0; b &= b - 1 {
+				ei := w<<6 | bits.TrailingZeros64(b)
+				lost += soft[ei]
+				openW -= soft[ei]
+				work++
+			}
+			for b := a & cov[d][w]; b != 0; b &= b - 1 {
+				lost += soft[w<<6|bits.TrailingZeros64(b)]
 				covered--
+				work++
 			}
 		}
-		if st.cost+lost >= bestObj {
+		if cost+lost >= bestObj {
 			return
 		}
-		firstPending := -1
-		for ei := from; ei < n; ei++ {
-			work++
-			if stat[ei] == cnPending && !st.abandoned[ei] {
-				firstPending = ei
-				break
+		first := -1
+		for w := range open {
+			open[w] = pend[d][w] &^ abandoned[w]
+			if first < 0 && open[w] != 0 {
+				first = w<<6 | bits.TrailingZeros64(open[w])
 			}
 		}
-		if firstPending == -1 {
-			obj := st.cost + lost
-			if obj < bestObj || (obj == bestObj && covered > bestCovered) {
-				bestObj = obj
-				best = append([]int(nil), st.chosen...)
-				bestCovered = covered
-				found = true
-			}
+		if first == -1 {
+			bestObj, bestCovered, found = cost+lost, covered, true
+			best = append(best[:0], chosen...)
 			return
 		}
-		// The pending example's first unmet need.
+		if cost+lost+openW >= bestObj && cost+lost+max(0, openW-slotGain(maxRules-d, openW)) >= bestObj {
+			return
+		}
+		// The open example's first unmet need.
 		req := uReq[d]
-		firstNeed := -1
-		for ni := range providers[firstPending] {
-			if !req.get(v.reqOff[firstPending] + ni) {
-				firstNeed = ni
-				break
-			}
+		lo := v.reqOff[first]
+		need := 0
+		for req.get(lo + need) {
+			need++
 		}
-		// Option 1: add a provider of the first unmet requirement.
-		if len(st.chosen) < maxRules {
-			for _, ri := range providers[firstPending][firstNeed] {
-				already := false
-				for _, c := range st.chosen {
-					if c == ri {
-						already = true
-						break
-					}
-				}
-				if already || v.viol[ri].get(firstPending) {
+		provs := providers[first][need]
+		mark := len(forbids)
+		// Option 1: add a provider of the first unmet need.
+		if d < maxRules {
+			for _, ri := range provs {
+				if forbidden[ri] || v.viol[ri].get(first) {
 					continue
 				}
 				c := space[ri].Cost
-				if st.cost+c > maxCost || st.cost+c+lost >= bestObj {
-					continue
+				if cost+c > maxCost || cost+c+lost >= bestObj {
+					break // providers come in cost order: the rest cost no less
 				}
-				copy(uReq[d+1], req)
-				v.req[ri].orInto(uReq[d+1])
-				child := status[d+1]
-				copy(child, stat)
-				lost2, cov2, hard2 := lostD[d], coveredD[d], false
+				// Chosen in this branch; in the later siblings' subtrees a
+				// solution holding it was already scored in this one.
+				forbidden[ri] = true
+				forbids = append(forbids, ri)
+				next := uReq[d+1]
+				copy(next, req)
+				v.req[ri].orInto(next)
+				np, nc := pend[d+1], cov[d+1]
+				copy(np, pend[d])
+				copy(nc, cov[d])
+				lost2, cov2, pw2, hard2 := lostD[d], coveredD[d], pendW[d], false
 				work += int64(len(violEx[ri]) + len(fireEx[ri]))
-				for _, ei := range violEx[ri] {
-					if child[ei] == cnBroken {
-						continue
-					}
-					if child[ei] == cnCovered {
+				for _, e := range violEx[ri] {
+					ei := int(e)
+					switch {
+					case np.get(ei):
+						np.unset(ei)
+						pw2 -= soft[ei]
+					case nc.get(ei): // violation trumps coverage
+						nc.unset(ei)
 						cov2--
+					default:
+						continue // already broken
 					}
-					child[ei] = cnBroken // violation trumps coverage
 					if weights[ei] <= 0 {
 						hard2 = true
 					} else {
 						lost2 += weights[ei]
 					}
 				}
-				childReq := uReq[d+1]
-				for _, ei := range fireEx[ri] {
-					if child[ei] == cnPending && childReq.allSet(v.reqOff[ei], v.reqOff[ei+1]) {
-						child[ei] = cnCovered
+				for _, e := range fireEx[ri] {
+					ei := int(e)
+					if np.get(ei) && next.allSet(v.reqOff[ei], v.reqOff[ei+1]) {
+						np.unset(ei)
+						nc.set(ei)
 						cov2++
+						pw2 -= soft[ei]
 					}
 				}
-				lostD[d+1], coveredD[d+1], hardBrokenD[d+1] = lost2, cov2, hard2
-				st.chosen = append(st.chosen, ri)
-				st.cost += c
-				dfs(st, firstPending)
-				st.chosen = st.chosen[:len(st.chosen)-1]
-				st.cost -= c
+				lostD[d+1], coveredD[d+1], pendW[d+1], hardBrokenD[d+1] = lost2, cov2, pw2, hard2
+				chosen = append(chosen, ri)
+				cost += c
+				dfs()
+				chosen = chosen[:d]
+				cost -= c
 			}
 		}
-		// Option 2: abandon the pending example (soft examples only).
-		if weights[firstPending] > 0 {
-			st.abandoned[firstPending] = true
-			st.abandList = append(st.abandList, firstPending)
-			dfs(st, firstPending+1)
-			st.abandList = st.abandList[:len(st.abandList)-1]
-			st.abandoned[firstPending] = false
+		// Option 2: abandon the open example (soft examples only), with
+		// every provider of its need that does not violate it forbidden.
+		if weights[first] > 0 {
+			for _, ri := range provs {
+				if !forbidden[ri] && !v.viol[ri].get(first) {
+					forbidden[ri] = true
+					forbids = append(forbids, ri)
+				}
+			}
+			abandoned.set(first)
+			dfs()
+			abandoned.unset(first)
 		}
+		for _, ri := range forbids[mark:] {
+			forbidden[ri] = false
+		}
+		forbids = forbids[:mark]
 	}
-	dfs(&state{abandoned: make([]bool, n)}, 0)
+	dfs()
 	statIndependentNoisyWork.Add(work)
 	if !found {
 		return nil, 0, ErrNoSolution
 	}
 	return best, bestCovered, nil
+}
+
+// weightIn sums the weights of the examples set in both s and mask.
+func weightIn(weights []int, s, mask sigWords) int {
+	sum := 0
+	for w, x := range s {
+		for b := x & mask[w]; b != 0; b &= b - 1 {
+			sum += weights[w<<6|bits.TrailingZeros64(b)]
+		}
+	}
+	return sum
 }

@@ -18,7 +18,8 @@ var (
 	statIndependentLearns = obs.C("ilasp.independent.learns")
 	statIndependentChecks = obs.C("ilasp.independent.checks")
 	statIndependentDur    = obs.H("ilasp.independent.duration")
-	// Nodes expanded plus example statuses visited by coverNoisy.
+	// coverNoisy's work: nodes expanded, example statuses visited, and
+	// candidates its remaining-slot bound scans.
 	statIndependentNoisyWork = obs.C("ilasp.independent.noisy_work")
 
 	// Signature fast path: searches served from per-candidate coverage

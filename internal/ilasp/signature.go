@@ -38,6 +38,7 @@ type sigWords []uint64
 func newSig(nbits int) sigWords { return make(sigWords, (nbits+63)/64) }
 
 func (s sigWords) set(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s sigWords) unset(i int)    { s[i>>6] &^= 1 << (uint(i) & 63) }
 func (s sigWords) get(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // empty reports whether no bit is set.
