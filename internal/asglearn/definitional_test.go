@@ -354,11 +354,11 @@ func TestASGLearnCheckerRejectsNonOptimal(t *testing.T) {
 
 // TestSignaturePathTaken: constraint-only tasks whose examples have at
 // most one parse tree and one base answer set are served from
-// signatures, with one ground call per parsed example; every other task
-// falls back, and each fallback is counted. Both paths learn the same.
+// signatures, with one solve per parsed example; every other task falls
+// back, and each fallback is counted. Both paths learn the same.
 func TestSignaturePathTaken(t *testing.T) {
 	searches, fallbacks := obs.C("ilasp.sig.searches"), obs.C("ilasp.sig.fallbacks")
-	groundCalls := obs.C("asp.ground.calls")
+	solveCalls := obs.C("asp.solve.calls")
 	task := func(extra ...Example) *Task {
 		return cavTask(t, append([]Example{
 			{ID: "p1", Tokens: toks("accept overtake"), Context: ctx(t, "weather(clear)."), Positive: true},
@@ -374,7 +374,7 @@ func TestSignaturePathTaken(t *testing.T) {
 	cases := []struct {
 		name   string
 		task   *Task
-		solves int64 // ground calls on the signature path; -1 falls back
+		solves int64 // solve calls on the signature path; -1 falls back
 	}{
 		{"constraints", task(), 2},
 		{"unparseable string", task(Example{ID: "x", Tokens: toks("accept fly")}), 2},
@@ -386,16 +386,16 @@ func TestSignaturePathTaken(t *testing.T) {
 	}
 	opts := ilasp.LearnOptions{MaxRules: 2}
 	for _, c := range cases {
-		s0, f0, g0 := searches.Value(), fallbacks.Value(), groundCalls.Value()
+		s0, f0, g0 := searches.Value(), fallbacks.Value(), solveCalls.Value()
 		res, err := c.task.Learn(opts)
-		ds, df, dg := searches.Value()-s0, fallbacks.Value()-f0, groundCalls.Value()-g0
+		ds, df, dg := searches.Value()-s0, fallbacks.Value()-f0, solveCalls.Value()-g0
 		switch {
 		case c.solves < 0 && (ds != 0 || df != 1):
 			t.Errorf("%s: %d signature searches, %d fallbacks; want 0, 1", c.name, ds, df)
 		case c.solves >= 0 && (ds != 1 || df != 0):
 			t.Errorf("%s: %d signature searches, %d fallbacks; want 1, 0", c.name, ds, df)
 		case c.solves >= 0 && dg != c.solves:
-			t.Errorf("%s: %d ground calls on the signature path, want %d", c.name, dg, c.solves)
+			t.Errorf("%s: %d solve calls on the signature path, want %d", c.name, dg, c.solves)
 		}
 		want, wantErr := learnResolve(c.task, opts)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {

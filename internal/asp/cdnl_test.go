@@ -142,9 +142,10 @@ func TestCDNLContextCancel(t *testing.T) {
 }
 
 // TestSolveCancelledContext: a context cancelled before the call fails
-// the solve with its error on both paths — open programs that
-// propagation alone decides, with or without a choice rule, and a
-// definite program the grounder decides.
+// the solve with its error on every path — open programs that
+// propagation alone decides, with or without a choice rule, a definite
+// program the grounder decides, and plain-fact programs, the empty one
+// included, which are not grounded.
 func TestSolveCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -152,6 +153,8 @@ func TestSolveCancelledContext(t *testing.T) {
 		"c. b :- not c. a :- not b.",
 		"{a}. :- a.",
 		"a. b :- a.",
+		"a. b.",
+		"",
 	} {
 		prog, err := Parse(src)
 		if err != nil {

@@ -1,6 +1,7 @@
 package asp
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -90,9 +91,10 @@ func FuzzSolveSmall(f *testing.F) {
 // FuzzSolveDifferential checks every parseable program of at most
 // bruteForceMaxAtoms ground atoms against the definition: the solver
 // must enumerate exactly the brute-force stable models, hidden
-// choice-complement atoms included. Seeds include non-tight
-// (positive-loop) programs, where the unfounded-set check must reject
-// completion models.
+// choice-complement atoms included, and Solve, which answers a
+// plain-fact program without grounding it, must return the same models.
+// Seeds include non-tight (positive-loop) programs, where the
+// unfounded-set check must reject completion models.
 func FuzzSolveDifferential(f *testing.F) {
 	seeds := []string{
 		"a :- not b. b :- not a.",
@@ -112,6 +114,11 @@ func FuzzSolveDifferential(f *testing.F) {
 		// the domain drop, and a constraint fires or not.
 		"q(a). p(X) :- q(X), not r(X). :- p(a), not s.",
 		"a. b :- a, not c. :- b, not a.",
+		// Plain facts, which Solve answers without grounding.
+		"",
+		"a. b. a.",
+		`p(a). p("a"). q(f(g(1), -2)).`,
+		"p(1). p(2). q.",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -140,6 +147,13 @@ func FuzzSolveDifferential(f *testing.F) {
 		}
 		if err := checkAnswerSets(g, models); err != nil {
 			t.Fatalf("%q: %v", src, err)
+		}
+		// Solve answers plain-fact programs without grounding; it must
+		// return the grounded path's models.
+		if solved, err := Solve(prog, SolveOptions{MaxDecisions: 200_000}); err != nil {
+			t.Fatalf("%q: Solve: %v", src, err)
+		} else if got, want := modelSet(solved), modelSet(models); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: Solve = %v, SolveGround = %v", src, got, want)
 		}
 		// HasAnswerSet answers decided programs without a model.
 		has, err := HasAnswerSet(prog)

@@ -25,8 +25,9 @@ var (
 	statBackjumps      = obs.C("asp.solve.backjumps")
 	statLearnedNogoods = obs.C("asp.solve.learned_nogoods")
 	statModelsFound    = obs.C("asp.solve.models")
-	// statSolveDefinite counts the solves decided from the grounding
-	// domain (decideDefinite), without clause form or search.
+	// statSolveDefinite counts the solves decided without clause form or
+	// search: from the grounding domain (decideDefinite), or from the
+	// facts of a plain-fact program, which is not grounded (plainFacts).
 	statSolveDefinite = obs.C("asp.solve.definite")
 )
 

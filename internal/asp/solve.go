@@ -44,6 +44,14 @@ func (as *AnswerSet) ContainsKey(key string) bool {
 // Len returns the number of atoms.
 func (as *AnswerSet) Len() int { return len(as.atoms) }
 
+// Each calls f on every atom, in no particular order and without
+// rendering or sorting the model (Atoms does both).
+func (as *AnswerSet) Each(f func(Atom)) {
+	for _, a := range as.atoms {
+		f(a)
+	}
+}
+
 // Atoms returns the atoms sorted by their textual form. The slice is
 // computed once and shared across calls; callers must not modify it.
 func (as *AnswerSet) Atoms() []Atom {
@@ -109,8 +117,15 @@ type SolveOptions struct {
 var ErrSearchBudget = errors.New("asp: solver decision budget exhausted")
 
 // Solve grounds and solves a program, returning up to opts.MaxModels
-// answer sets.
+// answer sets. A program of plain facts (plainFacts) is not grounded:
+// its facts are its one answer set.
 func Solve(p *Program, opts SolveOptions) ([]*AnswerSet, error) {
+	if plainFacts(p) {
+		if _, err := solveDecided(verdictModel, len(p.Rules), opts); err != nil {
+			return nil, err
+		}
+		return []*AnswerSet{factModel(p)}, nil
+	}
 	g, err := Ground(p, GroundingOptions{})
 	if err != nil {
 		return nil, err
@@ -119,15 +134,18 @@ func Solve(p *Program, opts SolveOptions) ([]*AnswerSet, error) {
 }
 
 // HasAnswerSet reports whether the program has at least one answer set.
-// A program the grounder decided (see decideDefinite) is answered
-// without building its answer set.
+// A program of plain facts, or one the grounder decided (see
+// decideDefinite), is answered without building its answer set.
 func HasAnswerSet(p *Program) (bool, error) {
+	if plainFacts(p) {
+		return solveDecided(verdictModel, len(p.Rules), SolveOptions{})
+	}
 	g, err := Ground(p, GroundingOptions{})
 	if err != nil {
 		return false, err
 	}
 	if g.verdict != verdictOpen {
-		return solveDecided(g, SolveOptions{})
+		return solveDecided(g.verdict, g.NumAtoms(), SolveOptions{})
 	}
 	models, err := SolveGround(g, SolveOptions{MaxModels: 1})
 	if err != nil {
@@ -148,7 +166,7 @@ func HasAnswerSet(p *Program) (bool, error) {
 // continues, so enumeration is deterministic.
 func SolveGround(g *GroundProgram, opts SolveOptions) ([]*AnswerSet, error) {
 	if g.verdict != verdictOpen {
-		sat, err := solveDecided(g, opts)
+		sat, err := solveDecided(g.verdict, g.NumAtoms(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -206,18 +224,54 @@ func decideDefinite(rules []GroundRule) int8 {
 	return verdict
 }
 
-// solveDecided reports the grounder's verdict on a decided program under
-// the solve contract and telemetry of the CDNL path: a cancelled Context
-// still returns its error, and the decision counts as a solve (calls,
-// duration, models, the asp.solve span) and in asp.solve.definite.
-func solveDecided(g *GroundProgram, opts SolveOptions) (bool, error) {
+// plainFacts reports whether every rule of p is a fact over plain ground
+// terms (no variable, range or arithmetic). Such a program is definite,
+// and its facts are its least model, so it needs neither grounding nor
+// search.
+func plainFacts(p *Program) bool {
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		if r.Head == nil || len(r.Choice) > 0 || len(r.Body) > 0 || !plainArgs(r.Head.Args) {
+			return false
+		}
+	}
+	return true
+}
+
+// factModel is the answer set of a program of plain facts, as the
+// grounded path builds it: one atom per key, the first fact of a key
+// wins, source positions are dropped, and the atoms of choice compilation
+// stay hidden (isInternalAtom).
+func factModel(p *Program) *AnswerSet {
+	as := &AnswerSet{atoms: make(map[string]Atom, len(p.Rules))}
+	var key []byte
+	for i := range p.Rules {
+		h := p.Rules[i].Head
+		if isInternalAtom(*h) {
+			continue
+		}
+		key = appendAtomKey(key[:0], *h)
+		if _, dup := as.atoms[string(key)]; !dup {
+			as.atoms[string(key)] = Atom{Predicate: h.Predicate, Args: h.Args}
+		}
+	}
+	return as
+}
+
+// solveDecided reports the verdict on a decided program (a plain-fact
+// program, or one the grounder decided) under the solve contract and
+// telemetry of the CDNL path: a cancelled Context still returns its
+// error, and the decision counts as a solve (calls, duration, models, the
+// asp.solve span with the program's atom count, or its fact count) and
+// in asp.solve.definite.
+func solveDecided(verdict int8, atoms int, opts SolveOptions) (bool, error) {
 	t0 := time.Now()
 	sp := obs.StartSpan("asp.solve")
 	var err error
 	if opts.Context != nil {
 		err = opts.Context.Err()
 	}
-	sat := err == nil && g.verdict == verdictModel
+	sat := err == nil && verdict == verdictModel
 	models := 0
 	if sat {
 		models = 1
@@ -227,7 +281,7 @@ func solveDecided(g *GroundProgram, opts SolveOptions) (bool, error) {
 	statSolveDur.ObserveSince(t0)
 	statModelsFound.Add(int64(models))
 	if obs.TracingEnabled() {
-		sp.SetAttr("atoms", strconv.Itoa(g.NumAtoms()))
+		sp.SetAttr("atoms", strconv.Itoa(atoms))
 		sp.SetAttr("definite", "true")
 		sp.SetAttr("models", strconv.Itoa(models))
 	}

@@ -2,6 +2,7 @@ package asp
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,62 @@ func TestSolveDefiniteProgram(t *testing.T) {
 	}
 	if m.Len() != 5 {
 		t.Errorf("answer set size = %d, want 5 (2 edges + 3 paths)", m.Len())
+	}
+}
+
+// TestSolvePlainFacts: a program whose every rule is a plain ground fact
+// is answered without grounding, and Solve and HasAnswerSet return what
+// the grounded path returns for it: a repeated fact once, the first of
+// two facts with one key, compound terms, choice-compilation atoms
+// hidden, and the empty program's one empty answer set. Both count as
+// decided solves. A fact with a range, arithmetic or a variable is not
+// plain and is grounded as before.
+func TestSolvePlainFacts(t *testing.T) {
+	progs := []*Program{NewProgram(NewFact(NewAtom("_choice_x")), NewFact(NewAtom("a")))} // the parser reads _choice_x as a variable
+	for _, src := range []string{
+		"",
+		"a. b. a.",
+		`p(a). p("a"). q(1, -2).`,
+		"p(f(g(a), 1)). p(f(g(a), 1)). q(f(b)).",
+	} {
+		progs = append(progs, mustParse(t, src))
+	}
+	for _, prog := range progs {
+		src := prog.String()
+		if !plainFacts(prog) {
+			t.Fatalf("%q: not a plain-fact program", src)
+		}
+		g, err := Ground(prog, GroundingOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveGround(g, SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grounds, solves, definite := statGroundCalls.Value(), statSolveCalls.Value(), statSolveDefinite.Value()
+		got, err := Solve(prog, SolveOptions{MaxModels: 2})
+		if err != nil {
+			t.Fatalf("%q: Solve: %v", src, err)
+		}
+		has, err := HasAnswerSet(prog)
+		if err != nil || !has {
+			t.Fatalf("%q: HasAnswerSet = %v, %v; want true", src, has, err)
+		}
+		if n := statGroundCalls.Value() - grounds; n != 0 {
+			t.Errorf("%q: %d ground calls, want 0", src, n)
+		}
+		if n, d := statSolveCalls.Value()-solves, statSolveDefinite.Value()-definite; n != 2 || d != 2 {
+			t.Errorf("%q: %d solve calls, %d decided; want 2 and 2", src, n, d)
+		}
+		if len(got) != 1 || len(want) != 1 || !reflect.DeepEqual(got[0].Atoms(), want[0].Atoms()) {
+			t.Errorf("%q: Solve = %v, grounded path %v", src, modelSet(got), modelSet(want))
+		}
+	}
+	for _, src := range []string{"p(1..2).", "p(1 + 1).", "p(X).", "a. b :- a.", "a. :- b.", "{a}."} {
+		if plainFacts(mustParse(t, src)) {
+			t.Errorf("%q: taken for a plain-fact program", src)
+		}
 	}
 }
 

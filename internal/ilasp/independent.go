@@ -118,51 +118,42 @@ func (t *Task) LearnIndependent(opts LearnOptions) (*Result, error) {
 
 // checkIndependence verifies the non-recursiveness condition: no
 // candidate head predicate occurs in a candidate body (constraints
-// included) or anywhere in the background or the example contexts.
-func checkIndependence(t *Task, space []Candidate) error {
-	headPreds := make(map[string]struct{})
-	for _, c := range space {
-		if c.Rule.Head != nil {
-			headPreds[c.Rule.Head.Predicate] = struct{}{}
-		}
+// included) or anywhere in the background or the example contexts. The
+// space's part is read off the prepared space.
+func checkIndependence(t *Task, ps *preparedSpace) error {
+	if ps.recursive != nil {
+		return ps.recursive
 	}
-	checkProgram := func(p *asp.Program, where string) error {
-		if p == nil {
-			return nil
-		}
-		for _, r := range p.Rules {
-			for _, l := range r.Body {
-				if l.IsCmp {
-					continue
-				}
-				if _, clash := headPreds[l.Atom.Predicate]; clash {
-					return fmt.Errorf("ilasp: %s rule %q references candidate head predicate %s; use Learn", where, r.String(), l.Atom.Predicate)
-				}
-			}
-			if r.Head != nil {
-				if _, clash := headPreds[r.Head.Predicate]; clash {
-					return fmt.Errorf("ilasp: %s rule %q defines candidate head predicate %s; use Learn", where, r.String(), r.Head.Predicate)
-				}
-			}
-		}
-		return nil
-	}
-	for _, c := range space {
-		for _, l := range c.Rule.Body {
-			if l.IsCmp {
-				continue
-			}
-			if _, clash := headPreds[l.Atom.Predicate]; clash {
-				return fmt.Errorf("ilasp: candidate %q is recursive over %s; use Learn", c.Rule.String(), l.Atom.Predicate)
-			}
-		}
-	}
-	if err := checkProgram(t.Background, "background"); err != nil {
+	if err := ps.checkProgram(t.Background, "background", ""); err != nil {
 		return err
 	}
-	for _, e := range t.Examples {
-		if err := checkProgram(e.Context, "context of "+e.ID); err != nil {
+	for i := range t.Examples {
+		if err := ps.checkProgram(t.Examples[i].Context, "context of ", t.Examples[i].ID); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkProgram returns the error for the first rule of p that reads or
+// defines a candidate head predicate, located as where+id, or nil.
+func (ps *preparedSpace) checkProgram(p *asp.Program, where, id string) error {
+	if p == nil {
+		return nil
+	}
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		for j := range r.Body {
+			if l := &r.Body[j]; !l.IsCmp {
+				if _, clash := ps.heads[l.Atom.Predicate]; clash {
+					return fmt.Errorf("ilasp: %s%s rule %q references candidate head predicate %s; use Learn", where, id, r.String(), l.Atom.Predicate)
+				}
+			}
+		}
+		if r.Head != nil {
+			if _, clash := ps.heads[r.Head.Predicate]; clash {
+				return fmt.Errorf("ilasp: %s%s rule %q defines candidate head predicate %s; use Learn", where, id, r.String(), r.Head.Predicate)
+			}
 		}
 	}
 	return nil

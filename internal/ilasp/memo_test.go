@@ -10,6 +10,7 @@ import (
 	"agenp/internal/apps/datashare"
 	"agenp/internal/asp"
 	"agenp/internal/ilasp"
+	"agenp/internal/obs"
 	"agenp/internal/workload"
 )
 
@@ -19,25 +20,100 @@ func hypothesis(r *ilasp.Result) string {
 	return fmt.Sprintf("%v cost=%d covered=%d/%d checks=%d", r.Hypothesis, r.Cost, r.Covered, r.Total, r.Checks)
 }
 
-// TestGuardsKeepSignatures: on the access-control job shapes, where
-// ground body atoms refute most (candidate, example) pairs, the
-// signatures built with guards equal those of a build that evaluates
-// every pair, at widths 1 and 4.
+// TestGuardsKeepSignatures: the signatures built with guards, where
+// ground body atoms refute most (candidate, example) pairs and decided
+// candidates are read off their guard bits, equal those of a build that
+// evaluates every pair, at widths 1 and 4. The tasks are the
+// access-control job shapes, with and without threshold comparisons
+// (which stay undecided), and patternTask, whose space mixes decided
+// candidates carrying pattern guards with undecided ones and
+// constraints. Each guarded build decides some pairs.
 func TestGuardsKeepSignatures(t *testing.T) {
-	for _, noisy := range []bool{false, true} {
-		want, err := ilasp.VectorizeEveryPair(xacmlTask(noisy), 1, true)
+	decided := obs.C("ilasp.sig.decided")
+	thresholds := func() *ilasp.Task {
+		task := xacmlTask(false)
+		task.Bias = workload.AccessBias(workload.DefaultSchema(), []int{30, 50})
+		return task
+	}
+	cases := []struct {
+		name   string
+		task   func() *ilasp.Task
+		strict bool
+	}{
+		{"exact", func() *ilasp.Task { return xacmlTask(false) }, true},
+		{"noisy", func() *ilasp.Task { return xacmlTask(true) }, true},
+		{"thresholds", thresholds, true},
+		{"patterns", func() *ilasp.Task { return patternTask(t) }, false},
+	}
+	for _, c := range cases {
+		want, err := ilasp.VectorizeEveryPair(c.task(), 1, c.strict)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, width := range []int{1, 4} {
-			got, err := ilasp.Vectorize(xacmlTask(noisy), width, true)
+			before := decided.Value()
+			got, err := ilasp.Vectorize(c.task(), width, c.strict)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("noisy=%v width %d: guards changed the signatures", noisy, width)
+				t.Errorf("%s width %d: guards changed the signatures", c.name, width)
+			}
+			if decided.Value() == before {
+				t.Errorf("%s width %d: no pair was decided", c.name, width)
 			}
 		}
+	}
+}
+
+// patternTask is an independent task over an explicit space. Decided
+// candidates carry pattern guards (p(X), r(X, c), ...), alone or beside
+// ground guards, a ground compound argument or a guard the background
+// derives (b). Undecided ones repeat a variable within an atom or across
+// atoms, compare, negate, or nest a variable in a compound. Constraints
+// come decided and undecided. The contexts make each pattern hold in some
+// examples only, and make a repeated-variable body false where its
+// patterns hold (r(1, 2) but no r(X, X); p(1) and s(3) but no shared X).
+func patternTask(t *testing.T) *ilasp.Task {
+	t.Helper()
+	parse := func(src string) *asp.Program {
+		p, err := asp.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var space []ilasp.Candidate
+	for _, r := range parse(`
+		h(1) :- p(X).
+		h(2) :- p(X), q(a).
+		h(3) :- r(X, c), s(Y).
+		h(1) :- r(f(1), X).
+		h(2) :- b, p(X).
+		h(4).
+		h(3) :- r(X, X).
+		h(4) :- p(X), s(X).
+		h(2) :- p(X), X >= 2.
+		h(1) :- p(X), not q(a).
+		h(3) :- s(f(X)).
+		:- r(X, c), q(b).
+		:- p(X), s(X).
+	`).Rules {
+		space = append(space, ilasp.Candidate{Rule: r, Cost: len(r.Body) + 1})
+	}
+	h := func(v int) asp.Atom { return asp.NewAtom("h", asp.Integer{Value: v}) }
+	return &ilasp.Task{
+		Background: parse("b :- a."),
+		Space:      space,
+		Examples: []ilasp.Example{
+			{ID: "e1", Positive: true, Inclusions: []asp.Atom{h(1), h(3)}, Exclusions: []asp.Atom{h(4)},
+				Context: parse("p(1). r(1, 2). s(3). q(a). a.")},
+			{ID: "e2", Positive: true, Inclusions: []asp.Atom{h(2)}, Context: parse("p(2). r(2, 2). q(b).")},
+			{ID: "e3", Positive: false, Inclusions: []asp.Atom{h(3)}, Context: parse("r(1, c). s(1). p(1).")},
+			{ID: "e4", Positive: true, Inclusions: []asp.Atom{h(4)}, Exclusions: []asp.Atom{h(2)},
+				Context: parse("r(f(1), 3). s(f(2)).")},
+			{ID: "e5", Positive: true, Inclusions: []asp.Atom{h(1)}, Context: parse("q(a).")},
+		},
 	}
 }
 

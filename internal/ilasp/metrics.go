@@ -32,8 +32,11 @@ var (
 	statSigCollapsed = obs.C("ilasp.sig.collapsed")
 	statSigSubsumed  = obs.C("ilasp.sig.subsumed")
 	// One-step evaluations the signature builder ran: candidate instances
-	// against base models, after the guard skip.
-	statSigEvals = obs.C("ilasp.sig.evals")
+	// against base models, after the guard skip. Pairs of a decided
+	// candidate whose guards an example's base model holds are read off
+	// the guard bits instead, and counted apart.
+	statSigEvals   = obs.C("ilasp.sig.evals")
+	statSigDecided = obs.C("ilasp.sig.decided")
 
 	// Hypothesis spaces enumerated from a bias (Bias.Space calls): a
 	// memoized space is enumerated once per bias content.

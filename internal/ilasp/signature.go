@@ -205,12 +205,16 @@ type Decomposer interface {
 // the first check that reaches it.
 //
 // The space comes prepared (prepare): its validation is read, not
-// redone, and when it carries guards, each feasible example's base model
-// becomes a bitset over the space's guard atoms. A (candidate, example)
-// pair whose guard bits are not a subset of it is skipped: a guard atom
-// is missing, so the candidate derives nothing there and EvalPrepared
-// would have returned no atom and no error. Only the evaluations run
-// are counted (ilasp.sig.evals).
+// redone, and when it carries guards, one scan of each feasible
+// example's base model sets the example's bits over the space's guards
+// (ground atoms it holds, patterns it fills). A (candidate, example)
+// pair whose guard bits are not a subset of them is skipped: a guard is
+// missing, so the candidate derives nothing there and EvalPrepared would
+// have returned no atom and no error. A decided candidate whose guard
+// bits are all held derives exactly its head, or fires, so its bits are
+// set without evaluation (counted in ilasp.sig.decided). An example's
+// model index is built only when some undecided candidate's guards hold
+// there, and only the evaluations run are counted (ilasp.sig.evals).
 //
 // Evaluation fans out once, on up to width workers (the learners pass
 // GOMAXPROCS), sharded by candidate so each worker owns disjoint
@@ -240,7 +244,7 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 	v.positive = make([]bool, v.n)
 
 	type exState struct {
-		ix    *asp.ModelIndex
+		ix    *asp.ModelIndex // nil when no evaluation reads it
 		needs []asp.Atom
 		excl  []asp.Atom
 		held  sigWords // the guard atoms the base model holds
@@ -248,6 +252,8 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 	states := make([]exState, v.n)
 	guardWords := (len(ps.guardIDs) + 63) / 64
 	held := make(sigWords, v.n*guardWords)
+	var key []byte      // a guard key probe
+	var args []asp.Term // its blinded arguments
 	// stop is the first example that fails the contract; strict builds
 	// still evaluate the examples before it, whose errors come first.
 	stop, stopErr := v.n, error(nil)
@@ -291,11 +297,22 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 				needs = append(needs, a)
 			}
 		}
-		states[ei] = exState{ix: asp.NewModelIndex(base), needs: needs, excl: e.Exclusions,
-			held: held[ei*guardWords : (ei+1)*guardWords]}
-		for key, id := range ps.guardIDs {
-			if base.ContainsKey(key) {
-				states[ei].held.set(id)
+		st := &states[ei]
+		*st = exState{needs: needs, excl: e.Exclusions, held: held[ei*guardWords : (ei+1)*guardWords]}
+		if len(ps.masks) > 0 {
+			base.Each(func(a asp.Atom) {
+				for _, mask := range ps.masks[a.Predicate] {
+					key, args = appendGuardKey(key[:0], a, mask, args)
+					if id, ok := ps.guardIDs[string(key)]; ok {
+						st.held.set(id)
+					}
+				}
+			})
+		}
+		for _, ci := range ps.undecided {
+			if ps.guards[ci].subsetOf(st.held) {
+				st.ix = asp.NewModelIndex(base) // an evaluation reads it
+				break
 			}
 		}
 		v.reqOff[ei+1] = v.reqOff[ei] + len(needs)
@@ -328,15 +345,42 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 			defer wg.Done()
 			ev := asp.NewEvaluator()
 			limit := stop
-			var evals int64
-			defer func() { statSigEvals.Add(evals) }()
+			var evals, decided int64
+			defer func() {
+				statSigEvals.Add(evals)
+				statSigDecided.Add(decided)
+			}()
+			// derive records that candidate ri derives atom a in example ei.
+			derive := func(ri, ei int, a asp.Atom) {
+				st := &states[ei]
+				for _, x := range st.excl {
+					if asp.AtomsEqual(a, x) {
+						v.viol[ri].set(ei)
+						break
+					}
+				}
+				for ni := range st.needs { // an inclusion may repeat
+					if asp.AtomsEqual(a, st.needs[ni]) {
+						v.req[ri].set(v.reqOff[ei] + ni)
+					}
+				}
+			}
 			for ri := w; ri < len(space); ri += workers {
-				constraint := space[ri].Rule.Head == nil
+				head := space[ri].Rule.Head
 				guard := ps.guards[ri]
 			examples:
 				for ei := 0; ei < limit; ei++ {
 					st := &states[ei]
-					if st.ix == nil || !guard.subsetOf(st.held) {
+					if !v.feasible[ei] || !guard.subsetOf(st.held) {
+						continue
+					}
+					if ps.decided[ri] { // every guard holds: the candidate is its own instance
+						decided++
+						if head == nil {
+							v.viol[ri].set(ei)
+						} else {
+							derive(ri, ei, *head)
+						}
 						continue
 					}
 					for _, r := range d.Instances(ri, ei) {
@@ -347,24 +391,14 @@ func vectorize(d Decomposer, ps *preparedSpace, width int, strict bool) (*coverV
 							limit = ei
 							break examples
 						}
-						if constraint {
+						if head == nil {
 							if len(derived) > 0 { // the body holds: no answer set survives
 								v.viol[ri].set(ei)
 							}
 							continue
 						}
 						for _, a := range derived {
-							for _, x := range st.excl {
-								if asp.AtomsEqual(a, x) {
-									v.viol[ri].set(ei)
-									break
-								}
-							}
-							for ni := range st.needs { // an inclusion may repeat
-								if asp.AtomsEqual(a, st.needs[ni]) {
-									v.req[ri].set(v.reqOff[ei] + ni)
-								}
-							}
+							derive(ri, ei, a)
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package ilasp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,9 +12,10 @@ import (
 
 // preparedSpace is a hypothesis space made ready for signature builds
 // once, not once per build: the candidates, the outcome of the
-// per-candidate validation vectorize applies, and each candidate's guard
-// atoms. It is read-only after prepare, so a memoized one (biasSpace) is
-// shared by concurrent learners.
+// per-candidate validation vectorize applies, the space's part of the
+// independence check, and each candidate's guards. It is read-only after
+// prepare, so a memoized one (biasSpace) is shared by concurrent
+// learners.
 type preparedSpace struct {
 	cands []Candidate
 	// rules[c] is cands[c].Rule: a taskOracle hands out rules[c:c+1] as
@@ -22,45 +24,99 @@ type preparedSpace struct {
 	// invalid is the error of the first candidate, in space order, that
 	// one-step evaluation does not take: a choice rule or an unsafe rule.
 	invalid error
-	// guardIDs interns the space's guard atoms (guardAtoms) by asp key;
-	// guards[c] holds candidate c's as bits over it, nil when c has none
-	// or the space was prepared without guards.
+	// heads holds the candidates' head predicates, and recursive is the
+	// error of the first candidate whose body reads one
+	// (checkIndependence).
+	heads     map[string]struct{}
+	recursive error
+	// guardIDs interns the space's guards by guard key (appendGuardKey):
+	// ground guard atoms (guardAtoms) and the pattern guards of decided
+	// candidates. masks lists, per predicate, the variable positions of
+	// its guards (0 for a ground atom), each once: the keys vectorize
+	// probes for a model atom. guards[c] holds candidate c's
+	// guards as bits over guardIDs, nil when c has none or the space was
+	// prepared without guards.
 	guardIDs map[string]int
+	masks    map[string][]uint64
 	guards   []sigWords
+	// decided[c] reports that candidate c's guards are its whole body
+	// (decides): where they all hold, c derives exactly its head, or
+	// fires, and elsewhere nothing. undecided lists the other candidates,
+	// the ones vectorize evaluates.
+	decided   []bool
+	undecided []int
 }
 
 // prepare readies a space for signature builds. own states that every
 // candidate is its own instance in every example, as for a taskOracle:
-// a guard atom is read off the candidate, so only then does it guard the
-// instances, and only then are guards interned.
+// a guard is read off the candidate, so only then does it guard the
+// instances, and only then are guards interned and candidates decided.
 func prepare(cands []Candidate, own bool) *preparedSpace {
-	ps := &preparedSpace{cands: cands, rules: make([]asp.Rule, len(cands)), guards: make([]sigWords, len(cands))}
-	for i, c := range cands {
-		ps.rules[i] = c.Rule
+	ps := &preparedSpace{cands: cands, rules: make([]asp.Rule, len(cands)), heads: make(map[string]struct{}),
+		guards: make([]sigWords, len(cands)), decided: make([]bool, len(cands))}
+	for i := range cands {
+		r := &cands[i].Rule
+		ps.rules[i] = *r
+		if r.Head != nil {
+			ps.heads[r.Head.Predicate] = struct{}{}
+		}
 		if ps.invalid != nil {
 			continue
 		}
-		if c.Rule.IsChoice() {
-			ps.invalid = fmt.Errorf("ilasp: evaluating candidate %q: asp: EvalRule does not support choice rules", c.Rule.String())
-		} else if err := asp.CheckSafety(c.Rule); err != nil {
-			ps.invalid = fmt.Errorf("ilasp: evaluating candidate %q: %w", c.Rule.String(), err)
+		if r.IsChoice() {
+			ps.invalid = fmt.Errorf("ilasp: evaluating candidate %q: asp: EvalRule does not support choice rules", r.String())
+		} else if err := asp.CheckSafety(*r); err != nil {
+			ps.invalid = fmt.Errorf("ilasp: evaluating candidate %q: %w", r.String(), err)
+		}
+	}
+recursion:
+	for i := range cands {
+		body := cands[i].Rule.Body
+		for j := range body {
+			if l := &body[j]; !l.IsCmp {
+				if _, clash := ps.heads[l.Atom.Predicate]; clash {
+					ps.recursive = fmt.Errorf("ilasp: candidate %q is recursive over %s; use Learn", cands[i].Rule.String(), l.Atom.Predicate)
+					break recursion
+				}
+			}
 		}
 	}
 	if !own || ps.invalid != nil {
+		for i := range cands {
+			ps.undecided = append(ps.undecided, i)
+		}
 		return ps
 	}
 	ids := make([][]int, len(cands))
 	ps.guardIDs = make(map[string]int)
+	ps.masks = make(map[string][]uint64)
 	var key []byte
-	for ci, c := range cands {
-		for _, a := range guardAtoms(c.Rule) {
-			key = a.AppendKey(key[:0])
-			id, ok := ps.guardIDs[string(key)]
-			if !ok {
-				id = len(ps.guardIDs)
-				ps.guardIDs[string(key)] = id
+	intern := func(ci int, a asp.Atom, mask uint64) {
+		key, _ = appendGuardKey(key[:0], a, mask, nil)
+		id, ok := ps.guardIDs[string(key)]
+		if !ok {
+			id = len(ps.guardIDs)
+			ps.guardIDs[string(key)] = id
+			if !slices.Contains(ps.masks[a.Predicate], mask) {
+				ps.masks[a.Predicate] = append(ps.masks[a.Predicate], mask)
 			}
-			ids[ci] = append(ids[ci], id)
+		}
+		ids[ci] = append(ids[ci], id)
+	}
+	for ci := range cands {
+		r := &cands[ci].Rule
+		for _, a := range guardAtoms(*r) {
+			intern(ci, a, 0)
+		}
+		if !decides(*r) {
+			ps.undecided = append(ps.undecided, ci)
+			continue
+		}
+		ps.decided[ci] = true
+		for j := range r.Body {
+			if a := r.Body[j].Atom; !a.Ground() {
+				intern(ci, a, varMask(a))
+			}
 		}
 	}
 	for ci, gs := range ids {
@@ -75,14 +131,80 @@ func prepare(cands []Candidate, own bool) *preparedSpace {
 	return ps
 }
 
+// blindVar stands for every variable in a guard key.
+var blindVar asp.Term = asp.Variable{}
+
+// appendGuardKey appends to dst the guard key of atom a with the
+// arguments in mask read as variables: a's asp key with each of them
+// written as the nameless variable. For a ground atom and mask 0 this is
+// its asp key; for a pattern guard, with mask its variable positions
+// (varMask), it is a variable-blind key, which a model atom's key with
+// the same positions blinded equals exactly when the atom fills the
+// pattern (the key also fixes the predicate and arity). args is scratch
+// for the blinded arguments; it is returned grown for reuse.
+func appendGuardKey(dst []byte, a asp.Atom, mask uint64, args []asp.Term) ([]byte, []asp.Term) {
+	if mask == 0 {
+		return a.AppendKey(dst), args
+	}
+	args = append(args[:0], a.Args...)
+	for i := range args {
+		if mask&(1<<uint(i)) != 0 {
+			args[i] = blindVar
+		}
+	}
+	return asp.Atom{Predicate: a.Predicate, Args: args}.AppendKey(dst), args
+}
+
+// varMask returns the positions of a's variable arguments as bits.
+func varMask(a asp.Atom) uint64 {
+	var mask uint64
+	for i, t := range a.Args {
+		if _, ok := t.(asp.Variable); ok {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// decides reports whether a safe, non-choice rule's guards are its whole
+// body: its head is plain and ground, or it is a constraint; its body has
+// no comparison and no negated literal; each argument of a body atom is a
+// variable or a plain ground term (at most 64 arguments); and no variable
+// occurs twice. Each body atom is then an independent existence test, met
+// when the model holds the atom (a ground atom) or some atom that fills
+// its variables (a pattern guard), so one-step evaluation derives exactly
+// the head, or fires, where every guard holds, and nothing elsewhere.
+func decides(r asp.Rule) bool {
+	if r.Head != nil && (!r.Head.Ground() || !plainArgs(r.Head.Args)) {
+		return false
+	}
+	var seen []string
+	for _, l := range r.Body {
+		if l.IsCmp || l.Negated || len(l.Atom.Args) > 64 {
+			return false
+		}
+		for _, t := range l.Atom.Args {
+			if v, ok := t.(asp.Variable); ok {
+				if slices.Contains(seen, v.Name) {
+					return false
+				}
+				seen = append(seen, v.Name)
+			} else if !t.Ground() || !plainTerm(t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // guardAtoms returns the guard atoms of a safe, non-choice rule: its
 // positive body atoms with no variable, provided no term of the rule is
 // arithmetic and every comparison has a known operator. One-step
 // evaluation of such a rule cannot fail (comparisons order any two ground
 // terms), and in a model that lacks one of its guard atoms it derives
 // nothing. So vectorize may skip it there without changing a signature
-// or hiding an error. This is the one place that decides which atoms
-// guard.
+// or hiding an error. This is the one place that decides which ground
+// atoms guard; decides adds the pattern guards.
 func guardAtoms(r asp.Rule) []asp.Atom {
 	if r.Head != nil && !plainArgs(r.Head.Args) {
 		return nil

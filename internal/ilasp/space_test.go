@@ -187,21 +187,30 @@ func TestSpaceMemo(t *testing.T) {
 }
 
 // TestGuardAtoms pins which body atoms guard: positive ground atoms of a
-// rule with no arithmetic term and no unknown comparison operator.
+// rule with no arithmetic term and no unknown comparison operator; and
+// which rules are decided: a plain ground head or none, no comparison or
+// negation, body arguments that are variables or plain ground terms, and
+// no variable twice.
 func TestGuardAtoms(t *testing.T) {
 	cases := []struct {
-		rule string
-		want string
+		rule    string
+		want    string
+		decided bool
 	}{
-		{"h :- a, b.", "[a b]"},
-		{"h :- a, not b.", "[a]"},
-		{"q(X) :- p(X), r(1).", "[r(1)]"},
-		{"q(X) :- p(X), X > 1, r(f(1)).", "[r(f(1))]"},
-		{":- c, p(2).", "[c p(2)]"},
-		{"q(X) :- p(X).", "[]"},
-		{"q(X + 1) :- p(X), a.", "[]"},     // arithmetic in the head
-		{"h :- p(X), X < 2 + 1, a.", "[]"}, // arithmetic in a comparison
-		{"h :- p(1 + 1), a.", "[]"},        // arithmetic in a body atom
+		{"h :- a, b.", "[a b]", true},
+		{"h :- a, not b.", "[a]", false},
+		{"q(X) :- p(X), r(1).", "[r(1)]", false},
+		{"q(X) :- p(X), X > 1, r(f(1)).", "[r(f(1))]", false},
+		{":- c, p(2).", "[c p(2)]", true},
+		{"q(X) :- p(X).", "[]", false},
+		{"q(X + 1) :- p(X), a.", "[]", false},     // arithmetic in the head
+		{"h :- p(X), X < 2 + 1, a.", "[]", false}, // arithmetic in a comparison
+		{"h :- p(1 + 1), a.", "[]", false},        // arithmetic in a body atom
+		{"h(f(1)) :- p(X), r(Y, c), a.", "[a]", true},
+		{":- p(X), q.", "[q]", true},
+		{"h :- p(X), r(X, c).", "[]", false}, // X in two atoms
+		{"h :- r(X, X).", "[]", false},       // X twice in one atom
+		{"h :- s(f(X)).", "[]", false},       // a variable inside a compound
 	}
 	for _, c := range cases {
 		prog, err := asp.Parse(c.rule)
@@ -210,6 +219,9 @@ func TestGuardAtoms(t *testing.T) {
 		}
 		if got := fmt.Sprint(guardAtoms(prog.Rules[0])); got != c.want {
 			t.Errorf("guardAtoms(%s) = %s, want %s", c.rule, got, c.want)
+		}
+		if got := decides(prog.Rules[0]); got != c.decided {
+			t.Errorf("decides(%s) = %v, want %v", c.rule, got, c.decided)
 		}
 	}
 	bad := asp.Rule{Body: []asp.Literal{asp.PosLit(asp.NewAtom("a")),

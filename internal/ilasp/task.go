@@ -241,7 +241,7 @@ func (o *taskOracle) Covers(chosen []int, exampleIdx int) (bool, error) {
 // Decompose admits independent tasks (checkIndependence); an example's
 // base program is background ∪ context.
 func (o *taskOracle) Decompose() ([]Example, []*asp.Program, error) {
-	if err := checkIndependence(o.task, o.ps.cands); err != nil {
+	if err := checkIndependence(o.task, o.ps); err != nil {
 		return nil, nil, err
 	}
 	bases := make([]*asp.Program, len(o.task.Examples))

@@ -19,12 +19,14 @@ import (
 //     multi-x blowout, not a near miss. The hypothesis space is
 //     memoized by bias content, so allocs/op amortises its one
 //     enumeration over b.N.
-//   - One E3 run (quick mode) must run at most 1,540 one-step candidate
+//   - One E3 run (quick mode) must run at most 140 one-step candidate
 //     evaluations in the signature builds (ilasp.sig.evals,
-//     deterministic and independent of width): 1,400 when the budget
-//     was set, of 23,100 (candidate, example) pairs, because ground body
-//     atoms the example's base model lacks refute the rest. Evaluating
-//     every pair again reads 23,100.
+//     deterministic and independent of width): 0 when the budget was
+//     set. Of its 23,100 (candidate, example) pairs, ground body atoms
+//     the example's base model lacks refute all but 1,400, and every
+//     candidate of the access-control space is decided, so those 1,400
+//     are read off the guard bits (ilasp.sig.decided). Evaluating the
+//     decided pairs again reads 1,400, and every pair 23,100.
 //   - One E6 run (noisy learning, quick mode) must do at most 30,000
 //     units of noise-tolerant search work (ilasp.independent.noisy_work:
 //     coverNoisy nodes expanded, example statuses visited and candidates
@@ -34,20 +36,21 @@ import (
 //     branching and the bound. The same search without the canonical
 //     exclusions does 321,848, and without the bound 442,609, so losing
 //     either pruning breaks the budget rather than nudging it.
-//   - One E1 run (ASG learning, quick mode) must make at most 15 ground
-//     calls (asp.ground.calls, deterministic): one solve of each of the
+//   - One E1 run (ASG learning, quick mode) must make at most 15 solve
+//     calls (asp.solve.calls, deterministic): one solve of each of the
 //     12 examples' tree programs, from which coverage signatures answer
 //     every membership check, plus the probe of the learned grammar — 13
-//     when the budget was set. Falling back to re-solving every
-//     (hypothesis, example) check makes 101.
-//   - One E2 run (the AMS pipeline, quick mode) must make at most 21
+//     when the budget was set. Most of those tree programs are plain
+//     facts, which are not grounded (1 ground call). Falling back to
+//     re-solving every (hypothesis, example) check makes 101.
+//   - One E2 run (the AMS pipeline, quick mode) must make at most 5
 //     ground calls and 21 solve calls (asp.ground.calls,
-//     asp.solve.calls, deterministic): 19 and 19 when the budget was
-//     set. A regeneration that re-checks each generated policy's
-//     membership (GPM.Validate: one more parse, ground and solve per
-//     policy) makes 31 and 31. The ASG learner's re-solve fallback adds
-//     one of each here, as E2 adapts once from a few examples; E1's
-//     budget catches that.
+//     asp.solve.calls, deterministic): 4 and 19 when the budgets were
+//     set; the other 15 solves are of plain-fact programs. A
+//     regeneration that re-checks each generated policy's membership
+//     (GPM.Validate: one more parse and solve per policy) makes 4 and
+//     31. The ASG learner's re-solve fallback makes 7 and 20 here, as E2
+//     adapts once from a few examples; E1's budget catches it too.
 //   - One coverage check (coverageCheck: ground-and-solve of background
 //     ∪ hypothesis ∪ context on a 20-scenario CAV task) must make at
 //     most 176 allocations after a warm-up run: 160 when the budget was
@@ -80,8 +83,8 @@ func TestLearningAllocGuard(t *testing.T) {
 	}
 	n := evals.Value() - before
 	t.Logf("E3 quick: %d one-step candidate evaluations", n)
-	if n > 1_540 {
-		t.Errorf("E3 runs %d one-step candidate evaluations, above the budget of 1,540", n)
+	if n > 140 {
+		t.Errorf("E3 runs %d one-step candidate evaluations, above the budget of 140", n)
 	}
 
 	work := obs.C("ilasp.independent.noisy_work")
@@ -95,26 +98,25 @@ func TestLearningAllocGuard(t *testing.T) {
 		t.Errorf("E6 does %d units of noisy search work, above the 30,000 budget", n)
 	}
 
-	calls := obs.C("asp.ground.calls")
-	before = calls.Value()
+	calls, solves := obs.C("asp.ground.calls"), obs.C("asp.solve.calls")
+	before = solves.Value()
 	if _, err := experiments.Run("E1", experiments.Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	n = calls.Value() - before
-	t.Logf("E1 quick: %d ground calls", n)
+	n = solves.Value() - before
+	t.Logf("E1 quick: %d solve calls", n)
 	if n > 15 {
-		t.Errorf("E1 makes %d ground calls, above the budget of 15", n)
+		t.Errorf("E1 makes %d solve calls, above the budget of 15", n)
 	}
 
-	solves := obs.C("asp.solve.calls")
 	before, solvesBefore := calls.Value(), solves.Value()
 	if _, err := experiments.Run("E2", experiments.Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	n, m := calls.Value()-before, solves.Value()-solvesBefore
 	t.Logf("E2 quick: %d ground calls, %d solve calls", n, m)
-	if n > 21 || m > 21 {
-		t.Errorf("E2 makes %d ground calls and %d solve calls, above the budget of 21 each", n, m)
+	if n > 5 || m > 21 {
+		t.Errorf("E2 makes %d ground calls and %d solve calls, above the budgets of 5 and 21", n, m)
 	}
 
 	check := coverageCheck(t)
